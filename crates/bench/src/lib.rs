@@ -1,12 +1,14 @@
-//! Shared helpers for the experiment binaries.
+//! Shared helpers for the `h2priv` CLI and the bench binaries.
 
 #![warn(missing_docs)]
 
+pub mod campaign;
 pub mod obs;
 pub mod oplog;
 pub mod out;
-pub mod shard;
 pub mod timing;
+
+use h2priv_core::experiments::{find, Registered, REGISTRY};
 
 /// Prints an operator-facing info line through the leveled sink
 /// ([`oplog`]); suppressed by `--quiet`.
@@ -175,32 +177,29 @@ pub fn positional(position: usize) -> Option<String> {
     positional_args().into_iter().nth(position)
 }
 
-/// Parses the worker count for the parallel trial executor: an optional
-/// `--jobs N` flag anywhere on the command line (default `0` = all
-/// cores; `1` = the legacy sequential path). Results are byte-identical
-/// at any job count, so this only changes wall-clock time.
-pub fn jobs_arg() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        let value = if let Some(v) = a.strip_prefix("--jobs=") {
-            Some(v.to_string())
-        } else if a == "--jobs" {
-            Some(args.get(i + 1).cloned().unwrap_or_default())
-        } else {
-            None
-        };
-        if let Some(v) = value {
-            return v.parse().unwrap_or_else(|_| {
-                oerror!("error: invalid jobs {v:?} (expected a non-negative integer)");
-                oerror!("usage: [--jobs N]   (0 = all cores, 1 = sequential)");
-                std::process::exit(2);
-            });
-        }
+/// The registered experiment named by the positional argument at
+/// `position`. A missing or unknown name prints usage, with every
+/// registered name, and exits with status 2.
+pub fn experiment_arg(position: usize, usage: &str) -> &'static dyn Registered {
+    let name = positional(position);
+    if let Some(exp) = name.as_deref().and_then(find) {
+        return exp;
     }
-    0
+    if let Some(name) = name {
+        oerror!("error: unknown experiment {name:?}");
+    }
+    oerror!("usage: h2priv {usage}");
+    let names: Vec<&str> = REGISTRY.iter().map(|e| e.name()).collect();
+    oerror!("experiments: {}", names.join(", "));
+    std::process::exit(2)
 }
 
-/// Prints a section banner through the leveled sink.
-pub fn banner(title: &str) {
-    oinfo!("\n=== {title} ===");
+/// The trial count at `position`, defaulting to the experiment's
+/// registered default — the one default both the in-process run and a
+/// campaign use. `usage_prefix` precedes the experiment name in the
+/// usage line printed on malformed input.
+pub fn trials_for(exp: &dyn Registered, position: usize, usage_prefix: &str) -> u64 {
+    let default = exp.default_trials();
+    let usage = format!("{usage_prefix}{} [trials={default}]", exp.name());
+    count_arg(position, "trials", default, &usage)
 }

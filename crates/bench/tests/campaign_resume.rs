@@ -3,8 +3,12 @@
 //! boundary and resumed — the journal and the folded report must come
 //! out **byte-identical** to an uninterrupted single-shard run. This is
 //! the process-level extension of `parallel_identity.rs`: scheduling
-//! (and now crashing) is invisible in the results.
+//! (and now crashing) is invisible in the results. Every registered
+//! experiment is checked at one trial per batch; robustness_sweep, the
+//! longest-running campaign, gets the exhaustive kill schedule.
 
+use h2priv_core::campaign::CampaignSpec;
+use h2priv_core::experiments::REGISTRY;
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -25,11 +29,15 @@ struct CampaignRun {
     stderr: String,
 }
 
-fn campaign(journal: &PathBuf, out: &PathBuf, extra: &[&str]) -> CampaignRun {
-    let output = Command::new(env!("CARGO_BIN_EXE_campaign"))
-        .arg("robustness_sweep")
-        .arg(TRIALS)
-        .arg("--journal")
+fn run(
+    experiment: &str,
+    trials: &str,
+    journal: &PathBuf,
+    out: &PathBuf,
+    extra: &[&str],
+) -> CampaignRun {
+    let output = Command::new(env!("CARGO_BIN_EXE_h2priv"))
+        .args(["campaign", experiment, trials, "--journal"])
         .arg(journal)
         .arg("--out")
         .arg(out)
@@ -41,6 +49,10 @@ fn campaign(journal: &PathBuf, out: &PathBuf, extra: &[&str]) -> CampaignRun {
         status: output.status,
         stderr: String::from_utf8_lossy(&output.stderr).into_owned(),
     }
+}
+
+fn campaign(journal: &PathBuf, out: &PathBuf, extra: &[&str]) -> CampaignRun {
+    run("robustness_sweep", TRIALS, journal, out, extra)
 }
 
 fn read(path: &PathBuf) -> Vec<u8> {
@@ -181,8 +193,8 @@ fn resume_refuses_a_journal_from_a_different_campaign() {
     assert!(run.status.success(), "{}", run.stderr);
 
     // Same journal, different trial budget -> different campaign.
-    let output = Command::new(env!("CARGO_BIN_EXE_campaign"))
-        .args(["robustness_sweep", "3", "--journal"])
+    let output = Command::new(env!("CARGO_BIN_EXE_h2priv"))
+        .args(["campaign", "robustness_sweep", "3", "--journal"])
         .arg(&journal)
         .args(["--resume", "--quiet"])
         .output()
@@ -194,4 +206,107 @@ fn resume_refuses_a_journal_from_a_different_campaign() {
         "unexpected error: {stderr}"
     );
     cleanup(&[&journal, &out]);
+}
+
+/// A 2-shard run, and a 2-shard run killed halfway then resumed, must
+/// both reproduce the 1-shard journal and report bytes.
+fn shards_and_resumes(name: &str) {
+    let paths = |tag: &str| {
+        let base = temp_base(&format!("{name}_{tag}"));
+        (base.with_extension("jsonl"), base.with_extension("json"))
+    };
+    let (journal, out) = paths("ref");
+    let reference = run(name, "1", &journal, &out, &["--shards", "1"]);
+    assert!(reference.status.success(), "{name}: {}", reference.stderr);
+    let (ref_journal, ref_report) = (read(&journal), read(&out));
+    cleanup(&[&journal, &out]);
+
+    let (journal, out) = paths("shards");
+    let sharded = run(name, "1", &journal, &out, &["--shards", "2"]);
+    assert!(sharded.status.success(), "{name}: {}", sharded.stderr);
+    assert_eq!(read(&journal), ref_journal, "{name}: journal at 2 shards");
+    assert_eq!(read(&out), ref_report, "{name}: report at 2 shards");
+    cleanup(&[&journal, &out]);
+
+    let total = CampaignSpec::for_experiment(name, 1).unwrap().total_cells();
+    let kill = format!("trial={}", total / 2);
+    let (journal, out) = paths("kill");
+    let killed = ["--shards", "2", "--fail-on-crash", "--inject-kill", &kill];
+    let interrupted = run(name, "1", &journal, &out, &killed);
+    assert!(
+        !interrupted.status.success(),
+        "{name}: kill at {kill} did not abort"
+    );
+    assert!(
+        ref_journal.starts_with(&read(&journal)),
+        "{name}: interrupted journal is not a prefix of the reference"
+    );
+    let resumed = run(name, "1", &journal, &out, &["--shards", "2", "--resume"]);
+    assert!(resumed.status.success(), "{name}: {}", resumed.stderr);
+    assert_eq!(read(&journal), ref_journal, "{name}: journal after resume");
+    assert_eq!(read(&out), ref_report, "{name}: report after resume");
+    cleanup(&[&journal, &out]);
+}
+
+macro_rules! shard_identity {
+    ($($test:ident: $name:literal,)+) => {
+        $(#[test]
+        fn $test() {
+            shards_and_resumes($name);
+        })+
+
+        #[test]
+        fn every_registered_experiment_has_a_sharding_test() {
+            let covered = [$($name),+];
+            for e in REGISTRY {
+                assert!(covered.contains(&e.name()), "{} is not covered", e.name());
+            }
+        }
+    };
+}
+
+shard_identity! {
+    baseline_shards_and_resumes_byte_identically: "baseline",
+    fig1_shards_and_resumes_byte_identically: "fig1",
+    fig2_shards_and_resumes_byte_identically: "fig2",
+    table1_shards_and_resumes_byte_identically: "table1",
+    fig5_shards_and_resumes_byte_identically: "fig5",
+    section4d_shards_and_resumes_byte_identically: "section4d",
+    table2_shards_and_resumes_byte_identically: "table2",
+    robustness_sweep_shards_and_resumes_byte_identically: "robustness_sweep",
+    transport_transfer_shards_and_resumes_byte_identically: "transport_transfer",
+    ablation_shards_and_resumes_byte_identically: "ablation",
+    defense_matrix_shards_and_resumes_byte_identically: "defense_matrix",
+}
+
+/// With no trial count, a campaign runs the experiment's registered
+/// default — the same one the in-process run uses.
+#[test]
+fn campaign_default_trials_match_the_in_process_defaults() {
+    for e in REGISTRY {
+        let journal = temp_base(&format!("default_{}", e.name())).with_extension("jsonl");
+        // Killing cell 0 stops the campaign right after the header.
+        let output = Command::new(env!("CARGO_BIN_EXE_h2priv"))
+            .args(["campaign", e.name(), "--journal"])
+            .arg(&journal)
+            .args([
+                "--shards",
+                "1",
+                "--fail-on-crash",
+                "--inject-kill",
+                "trial=0",
+            ])
+            .arg("--quiet")
+            .output()
+            .expect("campaign binary runs");
+        assert!(!output.status.success(), "{}", e.name());
+        let header = String::from_utf8(read(&journal)).unwrap();
+        let expect = format!(
+            "\"experiment\":\"{}\",\"trials\":{},",
+            e.name(),
+            e.default_trials()
+        );
+        assert!(header.contains(&expect), "{}: {header}", e.name());
+        cleanup(&[&journal]);
+    }
 }

@@ -24,8 +24,8 @@ struct CampaignRun {
 }
 
 fn campaign(journal: &PathBuf, out: Option<&PathBuf>, extra: &[&str]) -> CampaignRun {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_campaign"));
-    cmd.args(["robustness_sweep", "1", "--journal"])
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_h2priv"));
+    cmd.args(["campaign", "robustness_sweep", "1", "--journal"])
         .arg(journal);
     if let Some(out) = out {
         cmd.arg("--out").arg(out);
@@ -150,8 +150,8 @@ fn broken_stdout_pipe_is_a_clean_nonzero_exit_not_a_panic() {
     let journal = temp_base("pipe").with_extension("jsonl");
     // No --out: the report goes to stdout, whose read end we close
     // immediately. The write must surface as a clean exit.
-    let mut child = Command::new(env!("CARGO_BIN_EXE_campaign"))
-        .args(["robustness_sweep", "1", "--journal"])
+    let mut child = Command::new(env!("CARGO_BIN_EXE_h2priv"))
+        .args(["campaign", "robustness_sweep", "1", "--journal"])
         .arg(&journal)
         .args(["--shards", "1", "--quiet"])
         .stdout(Stdio::piped())

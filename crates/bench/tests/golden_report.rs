@@ -1,11 +1,10 @@
-//! Golden-report regression: the experiment binaries' JSON output must be
-//! byte-identical to the fixture produced before the serde_json → in-tree
-//! writer swap. Guards the writer's pretty layout (2-space indent, `": "`
-//! separators) and float formatting, and the determinism of the trial
-//! pipeline behind the rows.
+//! Golden-report regression: Fig. 1's report bytes must be
+//! byte-identical to the fixture produced before the serde_json →
+//! in-tree writer swap. Guards the writer's pretty layout (2-space
+//! indent, `": "` separators) and float formatting, and the determinism
+//! of the trial pipeline behind the rows.
 
-use h2priv_core::experiments::fig1;
-use h2priv_core::report::to_json;
+use h2priv_core::experiments::find;
 
 #[test]
 fn fig1_report_matches_golden_fixture_byte_for_byte() {
@@ -14,10 +13,7 @@ fn fig1_report_matches_golden_fixture_byte_for_byte() {
         "/../../results/golden_fig1.json"
     );
     let golden = std::fs::read_to_string(golden_path).expect("golden fixture present");
-    let rendered: String = fig1(61_000, 1)
-        .iter()
-        .map(|row| to_json(row) + "\n")
-        .collect();
+    let rendered = find("fig1").unwrap().run(2, 1).report;
     assert_eq!(
         rendered, golden,
         "report output drifted from the golden fixture"

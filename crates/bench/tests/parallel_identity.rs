@@ -1,56 +1,49 @@
 //! Regression: the parallel trial executor must be invisible in the
-//! results. Running any experiment at `jobs = 4` has to produce the same
-//! JSON **bytes** as the sequential `jobs = 1` path — aggregates are
-//! folded in submission order, so floating-point sums, percentages, and
-//! serialized reports cannot depend on worker scheduling.
+//! results. Running any registered experiment at `jobs = 4` has to
+//! produce the same report and operator-table **bytes** as the
+//! sequential `jobs = 1` path — cells are folded in submission order, so
+//! floating-point sums, percentages, and serialized reports cannot
+//! depend on worker scheduling.
 
-use h2priv_core::experiments::{baseline, fig1, fig5, robustness_sweep, table1, table2};
-use h2priv_core::report::to_json;
+use h2priv_core::experiments::{find, REGISTRY};
 
-fn render<T: h2priv_util::json::ToJson>(rows: &[T]) -> String {
-    rows.iter().map(|r| to_json(r) + "\n").collect()
+fn check(name: &str, trials: u64) {
+    let exp = find(name).unwrap();
+    let seq = exp.run(trials, 1);
+    let par = exp.run(trials, 4);
+    assert_eq!(seq.report, par.report, "{name}: report");
+    assert_eq!(seq.lines, par.lines, "{name}: operator table");
 }
 
-#[test]
-fn table1_is_byte_identical_across_job_counts() {
-    let seq = render(&table1(3, 42, 1));
-    let par = render(&table1(3, 42, 4));
-    assert_eq!(seq, par);
+macro_rules! jobs_identity {
+    ($($test:ident: $name:literal x $trials:literal,)+) => {
+        $(#[test]
+        fn $test() {
+            check($name, $trials);
+        })+
+
+        #[test]
+        fn every_registered_experiment_has_a_jobs_identity_test() {
+            let covered = [$($name),+];
+            for e in REGISTRY {
+                assert!(covered.contains(&e.name()), "{} is not covered", e.name());
+            }
+        }
+    };
 }
 
-#[test]
-fn fig5_is_byte_identical_across_job_counts() {
-    let seq = render(&fig5(2, 43, 1));
-    let par = render(&fig5(2, 43, 4));
-    assert_eq!(seq, par);
-}
-
-#[test]
-fn table2_is_byte_identical_across_job_counts() {
-    let seq = render(&table2(2, 45, 1));
-    let par = render(&table2(2, 45, 4));
-    assert_eq!(seq, par);
-}
-
-#[test]
-fn baseline_is_byte_identical_across_job_counts() {
-    let seq = render(&baseline(3, 46, 1));
-    let par = render(&baseline(3, 46, 4));
-    assert_eq!(seq, par);
-}
-
-#[test]
-fn fig1_is_byte_identical_across_job_counts() {
-    let seq = render(&fig1(61_000, 1));
-    let par = render(&fig1(61_000, 4));
-    assert_eq!(seq, par);
-}
-
-#[test]
-fn robustness_sweep_with_retries_is_byte_identical_across_job_counts() {
+jobs_identity! {
+    baseline_is_byte_identical_across_job_counts: "baseline" x 3,
+    fig1_is_byte_identical_across_job_counts: "fig1" x 2,
+    fig2_is_byte_identical_across_job_counts: "fig2" x 2,
+    table1_is_byte_identical_across_job_counts: "table1" x 3,
+    fig5_is_byte_identical_across_job_counts: "fig5" x 2,
+    section4d_is_byte_identical_across_job_counts: "section4d" x 2,
+    table2_is_byte_identical_across_job_counts: "table2" x 2,
     // Exercises the watchdog + retry path (run_isidewith_trial_retrying)
     // under the pool: intensity 1.0 trials hit faults and may retry.
-    let seq = render(&robustness_sweep(2, 81_000, &[0.0, 1.0], 1));
-    let par = render(&robustness_sweep(2, 81_000, &[0.0, 1.0], 4));
-    assert_eq!(seq, par);
+    robustness_sweep_with_retries_is_byte_identical_across_job_counts: "robustness_sweep" x 2,
+    transport_transfer_is_byte_identical_across_job_counts: "transport_transfer" x 2,
+    ablation_is_byte_identical_across_job_counts: "ablation" x 2,
+    defense_matrix_is_byte_identical_across_job_counts: "defense_matrix" x 2,
 }

@@ -3,7 +3,7 @@
 //! `h2priv_util::pool` parallelizes trials *within* a process; this
 //! crate is the same guarantee one level up: a campaign's `(batch,
 //! trial)` space is sharded across supervised child **worker
-//! processes** (the bench bins re-invoked in `--shard-worker` mode),
+//! processes** (the `h2priv` binary re-invoked in `--shard-worker` mode),
 //! each worker streams its per-trial results as checksummed jsonl over
 //! a pipe, and the supervisor journals and folds them **strictly in
 //! global cell order** — so the journal bytes and the final report are

@@ -155,23 +155,6 @@ pub struct AttackSnapshot {
     pub packets_delayed: u64,
 }
 
-/// Server-side end-of-run diagnostics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ServerDiag {
-    /// Remaining connection send window.
-    pub conn_send_window: u64,
-    /// DATA bytes still queued in the frame scheduler.
-    pub queued_data_bytes: u64,
-    /// TCP bytes written but untransmitted.
-    pub tcp_bytes_unsent: u64,
-    /// TCP bytes in flight.
-    pub tcp_bytes_in_flight: u64,
-    /// Minimum connection send window seen while pumping.
-    pub min_window_seen: u64,
-    /// Pump stalls on flow control with DATA queued.
-    pub window_blocked_events: u64,
-}
-
 /// Everything collected from one trial.
 #[derive(Debug, Clone)]
 pub struct TrialResult {
@@ -191,10 +174,6 @@ pub struct TrialResult {
     pub client_tcp: TcpStats,
     /// Attack timeline (empty snapshot for passive baselines).
     pub attack: AttackSnapshot,
-    /// Server-side end-of-run diagnostics.
-    pub server_diag: ServerDiag,
-    /// Pump-stall log: (time, window, queued DATA bytes).
-    pub server_diag2: Vec<(SimTime, u64, u64)>,
     /// How the trial terminated.
     pub outcome: TrialOutcome,
     /// Total discrete events the simulator dispatched for this trial
@@ -319,15 +298,6 @@ pub fn run_site_trial(site: Site, opts: &TrialOptions) -> TrialResult {
         server_tcp: *server_node.tcp_stats(),
         client_tcp: *client_node.tcp_stats(),
         attack,
-        server_diag: ServerDiag {
-            conn_send_window: server_node.conn_send_window(),
-            queued_data_bytes: server_node.queued_data_bytes(),
-            tcp_bytes_unsent: server_node.tcp_bytes_unsent(),
-            tcp_bytes_in_flight: server_node.tcp_bytes_in_flight(),
-            min_window_seen: server_node.min_window_seen(),
-            window_blocked_events: server_node.window_blocked_events(),
-        },
-        server_diag2: server_node.blocked_log().to_vec(),
         outcome,
         sim_events: sim.stats().events,
         ended_at: sim.now(),
@@ -434,11 +404,6 @@ pub fn run_h3_site_trial(site: Site, opts: &TrialOptions) -> TrialResult {
         server_tcp: server_node.tcp_stats(),
         client_tcp: client_node.tcp_stats(),
         attack,
-        server_diag: ServerDiag {
-            conn_send_window: server_node.conn_send_window(),
-            ..ServerDiag::default()
-        },
-        server_diag2: Vec::new(),
         outcome,
         sim_events: sim.stats().events,
         ended_at: sim.now(),

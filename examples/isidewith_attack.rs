@@ -6,16 +6,16 @@
 //! cargo run --release -p h2priv-core --example isidewith_attack -- [trials]
 //! ```
 
-use h2priv_core::experiments::table2;
+use h2priv_core::experiments::{Experiment, Table2};
 use h2priv_core::report::{pct, pct_opt, render_table};
 
 fn main() {
-    let trials: usize = std::env::args()
+    let trials: u64 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(30);
     eprintln!("running {trials} attacked page loads (Table II)...");
-    let cols = table2(trials, 77_000, 0);
+    let cols = Table2.rows(trials, 77_000, 0);
 
     let rows: Vec<Vec<String>> = cols
         .iter()

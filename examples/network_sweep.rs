@@ -6,17 +6,17 @@
 //! cargo run --release -p h2priv-core --example network_sweep -- [trials]
 //! ```
 
-use h2priv_core::experiments::{fig5, section4d, table1};
+use h2priv_core::experiments::{Experiment, Fig5, Section4d, Table1};
 use h2priv_core::report::{pct, render_table};
 
 fn main() {
-    let trials: usize = std::env::args()
+    let trials: u64 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(25);
 
     eprintln!("jitter sweep ({trials} trials/point)...");
-    let t1 = table1(trials, 10_000, 0);
+    let t1 = Table1.rows(trials, 10_000, 0);
     let rows: Vec<Vec<String>> = t1
         .iter()
         .map(|r| {
@@ -43,7 +43,7 @@ fn main() {
     );
 
     eprintln!("bandwidth sweep ({trials} trials/point)...");
-    let f5 = fig5(trials, 20_000, 0);
+    let f5 = Fig5.rows(trials, 20_000, 0);
     let rows: Vec<Vec<String>> = f5
         .iter()
         .map(|r| {
@@ -70,7 +70,11 @@ fn main() {
     );
 
     eprintln!("targeted-drop sweep ({trials} trials/point)...");
-    let dr = section4d(trials, 30_000, &[0.5, 0.8, 0.9], 0);
+    let dr = Section4d {
+        rates: &[0.5, 0.8, 0.9],
+        timer_rates: &[],
+    }
+    .rows(trials, 30_000, 0);
     let rows: Vec<Vec<String>> = dr
         .iter()
         .map(|r| {

@@ -64,12 +64,12 @@ if [ -n "$H3_COMMITTED_EVS" ] && [ "$H3_COMMITTED_EVS" -lt "$H3_FLOOR_EVS" ]; th
 fi
 
 echo "== parallel executor smoke (--jobs 2)"
-cargo run --release --offline -p h2priv-bench --bin table1_jitter -- 2 --jobs 2 >/dev/null
+cargo run --release --offline -p h2priv-bench --bin h2priv -- table1 2 --jobs 2 >/dev/null
 
 echo "== trace smoke (--trace jsonl parses and is byte-identical across --jobs)"
-cargo run --release --offline -p h2priv-bench --bin table1_jitter -- 2 --jobs 1 \
+cargo run --release --offline -p h2priv-bench --bin h2priv -- table1 2 --jobs 1 \
     --trace /tmp/h2priv_trace_j1.jsonl >/dev/null 2>&1
-cargo run --release --offline -p h2priv-bench --bin table1_jitter -- 2 --jobs 2 \
+cargo run --release --offline -p h2priv-bench --bin h2priv -- table1 2 --jobs 2 \
     --trace /tmp/h2priv_trace_j2.jsonl >/dev/null 2>&1
 test -s /tmp/h2priv_trace_j1.jsonl
 cmp /tmp/h2priv_trace_j1.jsonl /tmp/h2priv_trace_j2.jsonl
@@ -80,19 +80,19 @@ echo "== campaign gate (sharded run + injected kill + resume == sequential run)"
 # run that is killed at an injected crash point and then resumed has to
 # produce byte-identical journal and report to an uninterrupted 1-shard
 # run. Small trial budget keeps this under a minute.
-CAMPAIGN=target/release/campaign
+H2PRIV=target/release/h2priv
 rm -f /tmp/h2priv_camp_seq.jsonl /tmp/h2priv_camp_seq.json \
       /tmp/h2priv_camp_shard.jsonl /tmp/h2priv_camp_shard.json
-"$CAMPAIGN" robustness_sweep 2 --shards 1 --quiet \
+"$H2PRIV" campaign robustness_sweep 2 --shards 1 --quiet \
     --journal /tmp/h2priv_camp_seq.jsonl --out /tmp/h2priv_camp_seq.json
-if "$CAMPAIGN" robustness_sweep 2 --shards 2 --quiet --fail-on-crash \
+if "$H2PRIV" campaign robustness_sweep 2 --shards 2 --quiet --fail-on-crash \
     --inject-kill trial=6 \
     --journal /tmp/h2priv_camp_shard.jsonl --out /tmp/h2priv_camp_shard.json \
     2>/dev/null; then
     echo "ERROR: injected kill did not abort the campaign" >&2
     exit 1
 fi
-"$CAMPAIGN" robustness_sweep 2 --shards 2 --quiet --resume \
+"$H2PRIV" campaign robustness_sweep 2 --shards 2 --quiet --resume \
     --journal /tmp/h2priv_camp_shard.jsonl --out /tmp/h2priv_camp_shard.json
 cmp /tmp/h2priv_camp_seq.jsonl /tmp/h2priv_camp_shard.jsonl
 cmp /tmp/h2priv_camp_seq.json /tmp/h2priv_camp_shard.json
@@ -104,9 +104,9 @@ echo "== defense matrix smoke (no-defense column pinned, --jobs identity)"
 # zero out the H2/TCP attack. Byte-identical across --jobs levels.
 DM1=/tmp/h2priv_defense_j1.json
 DM4=/tmp/h2priv_defense_j4.json
-cargo run --release --offline -p h2priv-bench --bin defense_matrix -- 6 --jobs 1 \
+cargo run --release --offline -p h2priv-bench --bin h2priv -- defense_matrix 6 --jobs 1 \
     --out "$DM1" >/dev/null 2>&1
-cargo run --release --offline -p h2priv-bench --bin defense_matrix -- 6 --jobs 4 \
+cargo run --release --offline -p h2priv-bench --bin h2priv -- defense_matrix 6 --jobs 4 \
     --out "$DM4" >/dev/null 2>&1
 cmp "$DM1" "$DM4"
 awk -F'"' '
