@@ -11,10 +11,9 @@
 
 use crate::attack::{AttackConfig, TransportKind};
 use crate::experiment::{run_site_trial, IsideWithTrial, TrialOptions};
-use crate::predictor::{predict_from_trace, SizeMap};
+use crate::predictor::SizeMap;
 use h2priv_h2::{ClientConfig, ServerConfig, ShapingConfig};
 use h2priv_netsim::rng::SimRng;
-use h2priv_trace::analysis::UnitConfig;
 use h2priv_util::impl_to_json;
 use h2priv_web::{IsideWith, Party, Site, Trigger};
 
@@ -226,8 +225,7 @@ pub fn evaluate_defense(trials: usize, base_seed: u64) -> DefenseReport {
 
     for t in 0..trials {
         let seed = base_seed + 5_000_000 + t as u64;
-        let mut perm_rng = SimRng::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1));
-        let iw = IsideWith::generate(&mut perm_rng);
+        let iw = IsideWith::for_seed(seed);
 
         // Undefended arm.
         let opts = TrialOptions::new(seed, Some(AttackConfig::full_attack()));
@@ -241,15 +239,9 @@ pub fn evaluate_defense(trials: usize, base_seed: u64) -> DefenseReport {
         undefended_hits += trial.sequence_success().iter().filter(|b| **b).count();
 
         // Defended arm: same ground truth, shuffled delivery order.
-        let mut shuffle_rng = SimRng::new(seed ^ 0xDEF5);
-        let defended_site = randomize_image_order(&iw, &mut shuffle_rng);
+        let defended_site = Defense::PriorityRandomization.transform_site(&iw, seed);
         let result = run_site_trial(defended_site, &opts);
-        let prediction = predict_from_trace(
-            &result.trace,
-            &SizeMap::isidewith(),
-            &UnitConfig::default(),
-            None,
-        );
+        let prediction = result.predict(&SizeMap::isidewith());
         // Ranking inference: does position i of the *inferred* order
         // match the true result order? (The adversary does not know the
         // delivery order was shuffled.)
@@ -302,8 +294,7 @@ pub fn evaluate_push_defense(trials: usize, base_seed: u64) -> PushDefenseReport
 
     for t in 0..trials {
         let seed = base_seed + 6_000_000 + t as u64;
-        let mut perm_rng = SimRng::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1));
-        let iw = IsideWith::generate(&mut perm_rng);
+        let iw = IsideWith::for_seed(seed);
 
         // Plain arm.
         let opts = TrialOptions::new(seed, Some(AttackConfig::full_attack()));

@@ -3,7 +3,7 @@
 //! needs — the client's report, the server's ground truth, the
 //! adversary's capture, and the attack timeline.
 
-use crate::attack::{AttackConfig, AttackEvent, AttackPolicy};
+use crate::attack::{AttackConfig, AttackEvent, AttackPolicy, TransportKind};
 use crate::defense::Defense;
 use crate::metrics::{degree_of_multiplexing, is_serialized, ObjectMux};
 use crate::predictor::{
@@ -73,10 +73,9 @@ pub struct TrialOptions {
     /// Countermeasure under test. [`Defense::None`] (the default)
     /// changes nothing: no config knobs move, no site transformation
     /// runs, no extra RNG draws occur — seeded runs stay byte-identical.
-    /// Applied by the isidewith-level wrappers
-    /// ([`run_isidewith_trial_with`], [`run_isidewith_h3_trial_with`]);
-    /// callers of the raw site-trial entry points set the equivalent
-    /// config knobs themselves.
+    /// Applied by the isidewith-level wrapper
+    /// ([`run_isidewith_trial_with`]); callers of the raw site-trial
+    /// entry points set the equivalent config knobs themselves.
     pub defense: Defense,
 }
 
@@ -226,103 +225,162 @@ impl TrialResult {
     }
 }
 
-/// Runs one trial of `site`.
+/// Runs one trial of `site` over HTTP/2 on TCP + TLS.
 pub fn run_site_trial(site: Site, opts: &TrialOptions) -> TrialResult {
-    let mut sim = Simulator::new(opts.seed);
-    let collector = shared_trace();
-    sim.set_capture_sink(collector.clone());
-
-    let mut client_cfg = opts.client.clone();
-    client_cfg.addr = opts.path.client_addr;
-    client_cfg.server_addr = opts.path.server_addr;
-    let mut server_cfg = opts.server.clone();
-    server_cfg.addr = opts.path.server_addr;
-    server_cfg.client_addr = opts.path.client_addr;
-
-    let client = ClientNode::new(site.clone(), client_cfg);
-    let server = ServerNode::new(site, server_cfg);
-
-    let (policy, attack_state): (Box<dyn MiddleboxPolicy>, _) = match &opts.attack {
-        Some(cfg) => {
-            let (p, s) = AttackPolicy::new(cfg.clone());
-            (Box::new(p), Some(s))
-        }
-        None => (Box::new(Passthrough), None),
-    };
-
-    let topo = PathTopology::build(&mut sim, client, policy, server, &opts.path);
-
-    let mut faulted_links = Vec::new();
-    if let Some(cfg) = &opts.faults.client_link {
-        faulted_links.push(topo.client_to_mbox);
-        faulted_links.push(topo.mbox_to_client);
-        sim.attach_faults(topo.client_to_mbox, cfg.clone());
-        sim.attach_faults(topo.mbox_to_client, cfg.clone());
-    }
-    if let Some(cfg) = &opts.faults.server_link {
-        faulted_links.push(topo.mbox_to_server);
-        faulted_links.push(topo.server_to_mbox);
-        sim.attach_faults(topo.mbox_to_server, cfg.clone());
-        sim.attach_faults(topo.server_to_mbox, cfg.clone());
-    }
-
-    let (outcome, stall_detected_at) = {
-        let _sp = telemetry::span("trial.sim_ns");
-        run_with_watchdog(&mut sim, topo.client, opts)
-    };
-    telemetry::gauge("trial.sim_events", sim.stats().events);
-
-    let client_node = sim.node_ref::<ClientNode>(topo.client);
-    let server_node = sim.node_ref::<ServerNode>(topo.server);
-    let mbox = sim.node_ref::<Middlebox>(topo.middlebox);
-
-    let trace = collector.borrow_mut().take_trace();
-    let attack = attack_state
-        .map(|s| {
-            let s = s.borrow();
-            AttackSnapshot {
-                events: s.events.clone(),
-                gets_seen: s.gets_seen,
-                packets_dropped: s.packets_dropped,
-                packets_delayed: s.packets_delayed,
-            }
-        })
-        .unwrap_or_default();
-
-    TrialResult {
-        client: client_node.report(),
-        serve_log: server_node.serve_log().to_vec(),
-        wire_map: server_node.wire_map().clone(),
-        trace,
-        mbox_stats: mbox.stats(),
-        server_tcp: *server_node.tcp_stats(),
-        client_tcp: *client_node.tcp_stats(),
-        attack,
-        outcome,
-        sim_events: sim.stats().events,
-        ended_at: sim.now(),
-        stall_detected_at,
-        fault_stats: faulted_links
-            .iter()
-            .filter_map(|&l| sim.fault_stats(l))
-            .collect(),
-        pad_overhead_bytes: server_node.pad_overhead_bytes(),
-        dummy_cells_sent: server_node.dummy_cells_sent(),
-        split_alt_datagrams: 0,
-    }
+    run_trial::<H2Endpoint>(site, opts)
 }
 
 /// Runs one trial of `site` over the QUIC/HTTP-3 transport.
 ///
 /// Same topology, middlebox policy, fault plan and watchdog as
-/// [`run_site_trial`]; only the endpoints change. The attack config (if
-/// any) should carry [`crate::attack::TransportKind::Quic`] so the
-/// adversary deploys the datagram monitor — the TLS record parser would
-/// desynchronise on QUIC ciphertext. QUIC transport counters are
+/// [`run_site_trial`]; only the endpoints change, and the adversary
+/// deploys the datagram monitor (the TLS record parser would
+/// desynchronise on QUIC ciphertext). QUIC transport counters are
 /// reported through the [`TrialResult::server_tcp`]/`client_tcp` fields
 /// in their TCP-equivalent projection (datagrams ↦ segments, PTOs ↦
 /// RTOs); H2-specific diagnostics are zeroed.
 pub fn run_h3_site_trial(site: Site, opts: &TrialOptions) -> TrialResult {
+    run_trial::<H3Endpoint>(site, opts)
+}
+
+/// A client's forward-progress fingerprint (see
+/// [`h2priv_h2::PageLoad::progress_probe`]).
+type Progress = (u64, u64, bool, bool);
+
+/// The transport-specific half of a trial: which endpoint nodes to build
+/// and how to read them back. [`run_trial`] is everything else.
+trait Endpoint {
+    /// The substrate the adversary monitors.
+    const TRANSPORT: TransportKind;
+    type Client: Node + 'static;
+    type Server: Node + 'static;
+
+    /// Adds the client, middlebox and server nodes to `sim` and links
+    /// them.
+    fn build(
+        sim: &mut Simulator,
+        site: Site,
+        client: ClientConfig,
+        server: ServerConfig,
+        policy: Box<dyn MiddleboxPolicy>,
+        path: &PathConfig,
+    ) -> PathTopology;
+
+    /// The client's forward-progress probe; reads nothing that mutates
+    /// state or consumes RNG draws.
+    fn progress(client: &Self::Client) -> Progress;
+
+    /// The endpoints' end-of-trial report and counters.
+    fn finish(sim: &mut Simulator, topo: &PathTopology) -> EndpointResult;
+}
+
+/// What [`Endpoint::finish`] reads off the two endpoint nodes.
+struct EndpointResult {
+    client: ClientReport,
+    client_tcp: TcpStats,
+    serve_log: Vec<ServeRecord>,
+    wire_map: WireMap,
+    server_tcp: TcpStats,
+    pad_overhead_bytes: u64,
+    dummy_cells_sent: u64,
+    split_alt_datagrams: u64,
+}
+
+/// HTTP/2 over TCP + TLS.
+struct H2Endpoint;
+
+impl Endpoint for H2Endpoint {
+    const TRANSPORT: TransportKind = TransportKind::Tcp;
+    type Client = ClientNode;
+    type Server = ServerNode;
+
+    fn build(
+        sim: &mut Simulator,
+        site: Site,
+        client: ClientConfig,
+        server: ServerConfig,
+        policy: Box<dyn MiddleboxPolicy>,
+        path: &PathConfig,
+    ) -> PathTopology {
+        let client = ClientNode::new(site.clone(), client);
+        let server = ServerNode::new(site, server);
+        PathTopology::build(sim, client, policy, server, path)
+    }
+
+    fn progress(client: &ClientNode) -> Progress {
+        client.page().progress_probe()
+    }
+
+    fn finish(sim: &mut Simulator, topo: &PathTopology) -> EndpointResult {
+        let client = sim.node_mut::<ClientNode>(topo.client);
+        let (report, client_tcp) = (client.take_report(), *client.tcp_stats());
+        let server = sim.node_ref::<ServerNode>(topo.server);
+        EndpointResult {
+            client: report,
+            client_tcp,
+            serve_log: server.serve_log().to_vec(),
+            wire_map: server.wire_map().clone(),
+            server_tcp: *server.tcp_stats(),
+            pad_overhead_bytes: server.pad_overhead_bytes(),
+            dummy_cells_sent: server.dummy_cells_sent(),
+            split_alt_datagrams: 0,
+        }
+    }
+}
+
+/// HTTP/3 over QUIC-lite.
+struct H3Endpoint;
+
+impl Endpoint for H3Endpoint {
+    const TRANSPORT: TransportKind = TransportKind::Quic;
+    type Client = H3ClientNode;
+    type Server = H3ServerNode;
+
+    /// Traffic splitting needs a second (untapped) gateway; the primary
+    /// path is identical either way, so an unsplit trial's topology —
+    /// node ids, link ids, event order — is untouched by the split
+    /// branch. Faults stay on the primary path only.
+    fn build(
+        sim: &mut Simulator,
+        site: Site,
+        client: ClientConfig,
+        server: ServerConfig,
+        policy: Box<dyn MiddleboxPolicy>,
+        path: &PathConfig,
+    ) -> PathTopology {
+        let split = server.split_burst > 0;
+        let client = H3ClientNode::new(site.clone(), client);
+        let server = H3ServerNode::new(site, server);
+        if split {
+            SplitPathTopology::build(sim, client, policy, server, path).path
+        } else {
+            PathTopology::build(sim, client, policy, server, path)
+        }
+    }
+
+    fn progress(client: &H3ClientNode) -> Progress {
+        client.page().progress_probe()
+    }
+
+    fn finish(sim: &mut Simulator, topo: &PathTopology) -> EndpointResult {
+        let client = sim.node_mut::<H3ClientNode>(topo.client);
+        let (report, client_tcp) = (client.take_report(), client.tcp_stats());
+        let server = sim.node_ref::<H3ServerNode>(topo.server);
+        EndpointResult {
+            client: report,
+            client_tcp,
+            serve_log: server.serve_log().to_vec(),
+            wire_map: server.wire_map().clone(),
+            server_tcp: server.tcp_stats(),
+            pad_overhead_bytes: server.quic_stats().pad_bytes_sent,
+            dummy_cells_sent: 0,
+            split_alt_datagrams: server.split_alt_datagrams(),
+        }
+    }
+}
+
+/// Runs one trial of `site` between `E`'s endpoints.
+fn run_trial<E: Endpoint>(site: Site, opts: &TrialOptions) -> TrialResult {
     let mut sim = Simulator::new(opts.seed);
     let collector = shared_trace();
     sim.set_capture_sink(collector.clone());
@@ -334,26 +392,15 @@ pub fn run_h3_site_trial(site: Site, opts: &TrialOptions) -> TrialResult {
     server_cfg.addr = opts.path.server_addr;
     server_cfg.client_addr = opts.path.client_addr;
 
-    let client = H3ClientNode::new(site.clone(), client_cfg);
-    let server = H3ServerNode::new(site, server_cfg);
-
     let (policy, attack_state): (Box<dyn MiddleboxPolicy>, _) = match &opts.attack {
         Some(cfg) => {
-            let (p, s) = AttackPolicy::new(cfg.clone());
+            let (p, s) = AttackPolicy::new(cfg.clone().with_transport(E::TRANSPORT));
             (Box::new(p), Some(s))
         }
         None => (Box::new(Passthrough), None),
     };
 
-    // Traffic splitting needs a second (untapped) gateway; the primary
-    // path is identical either way, so an unsplit trial's topology —
-    // node ids, link ids, event order — is untouched by this branch.
-    // Faults stay on the primary path only.
-    let topo = if opts.server.split_burst > 0 {
-        SplitPathTopology::build(&mut sim, client, policy, server, &opts.path).path
-    } else {
-        PathTopology::build(&mut sim, client, policy, server, &opts.path)
-    };
+    let topo = E::build(&mut sim, site, client_cfg, server_cfg, policy, &opts.path);
 
     let mut faulted_links = Vec::new();
     if let Some(cfg) = &opts.faults.client_link {
@@ -371,17 +418,13 @@ pub fn run_h3_site_trial(site: Site, opts: &TrialOptions) -> TrialResult {
 
     let (outcome, stall_detected_at) = {
         let _sp = telemetry::span("trial.sim_ns");
-        run_with_watchdog_probed(&mut sim, opts, |sim| {
-            sim.node_ref::<H3ClientNode>(topo.client).progress_probe()
+        run_with_watchdog(&mut sim, opts, |sim| {
+            E::progress(sim.node_ref::<E::Client>(topo.client))
         })
     };
     telemetry::gauge("trial.sim_events", sim.stats().events);
 
-    let client_report = sim.node_mut::<H3ClientNode>(topo.client).take_report();
-    let client_node = sim.node_ref::<H3ClientNode>(topo.client);
-    let server_node = sim.node_ref::<H3ServerNode>(topo.server);
-    let mbox = sim.node_ref::<Middlebox>(topo.middlebox);
-
+    let ends = E::finish(&mut sim, &topo);
     let trace = collector.borrow_mut().take_trace();
     let attack = attack_state
         .map(|s| {
@@ -396,13 +439,13 @@ pub fn run_h3_site_trial(site: Site, opts: &TrialOptions) -> TrialResult {
         .unwrap_or_default();
 
     TrialResult {
-        client: client_report,
-        serve_log: server_node.serve_log().to_vec(),
-        wire_map: server_node.wire_map().clone(),
+        client: ends.client,
+        serve_log: ends.serve_log,
+        wire_map: ends.wire_map,
         trace,
-        mbox_stats: mbox.stats(),
-        server_tcp: server_node.tcp_stats(),
-        client_tcp: client_node.tcp_stats(),
+        mbox_stats: sim.node_ref::<Middlebox>(topo.middlebox).stats(),
+        server_tcp: ends.server_tcp,
+        client_tcp: ends.client_tcp,
         attack,
         outcome,
         sim_events: sim.stats().events,
@@ -412,53 +455,26 @@ pub fn run_h3_site_trial(site: Site, opts: &TrialOptions) -> TrialResult {
             .iter()
             .filter_map(|&l| sim.fault_stats(l))
             .collect(),
-        pad_overhead_bytes: server_node.quic_stats().pad_bytes_sent,
-        dummy_cells_sent: 0,
-        split_alt_datagrams: server_node.split_alt_datagrams(),
+        pad_overhead_bytes: ends.pad_overhead_bytes,
+        dummy_cells_sent: ends.dummy_cells_sent,
+        split_alt_datagrams: ends.split_alt_datagrams,
     }
 }
 
 /// Drives the simulation in stall-window-sized chunks up to the horizon,
-/// classifying how the trial ends.
+/// classifying how the trial ends. `probe` is the client's
+/// forward-progress fingerprint; it must read nothing that mutates state
+/// or consumes RNG draws.
 ///
 /// With `fail_fast` off, the event sequence processed is exactly what a
 /// single `run_until_idle(horizon)` would process — chunk boundaries only
-/// partition the same ordered event stream, and the progress probes read
-/// nothing that mutates state or consumes RNG draws — so default-path
-/// trials stay byte-identical to the pre-watchdog harness.
+/// partition the same ordered event stream, and the probes mutate
+/// nothing — so default-path trials stay byte-identical to the
+/// pre-watchdog harness.
 fn run_with_watchdog(
     sim: &mut Simulator,
-    client: NodeId,
     opts: &TrialOptions,
-) -> (TrialOutcome, Option<SimTime>) {
-    run_with_watchdog_probed(sim, opts, |sim| {
-        sim.node_ref::<ClientNode>(client).progress_probe()
-    })
-}
-
-/// Transport-agnostic watchdog core: the client's forward-progress probe
-/// is supplied by the caller, so the same loop drives TCP and QUIC
-/// trials. The probe must read nothing that mutates state or consumes
-/// RNG draws.
-fn run_with_watchdog_probed(
-    sim: &mut Simulator,
-    opts: &TrialOptions,
-    probe_fn: impl Fn(&Simulator) -> (u64, u64, bool, bool),
-) -> (TrialOutcome, Option<SimTime>) {
-    let (outcome, stall_detected_at) = watchdog_loop(sim, opts, probe_fn);
-    telemetry::emit("watchdog", "outcome", |ev| {
-        ev.fields.push(("outcome", outcome.label().into()));
-        if let Some(t) = stall_detected_at {
-            ev.fields.push(("stall_detected_ns", t.as_nanos().into()));
-        }
-    });
-    (outcome, stall_detected_at)
-}
-
-fn watchdog_loop(
-    sim: &mut Simulator,
-    opts: &TrialOptions,
-    probe_fn: impl Fn(&Simulator) -> (u64, u64, bool, bool),
+    probe: impl Fn(&Simulator) -> Progress,
 ) -> (TrialOutcome, Option<SimTime>) {
     let horizon = SimTime::ZERO + opts.horizon;
     let window = if opts.stall_window.is_zero() {
@@ -466,31 +482,30 @@ fn watchdog_loop(
     } else {
         opts.stall_window
     };
-    let mut last_probe = probe_fn(sim);
+    let mut last_probe = probe(sim);
     let mut last_delivered = sim.stats().packets_delivered;
     let mut stall_detected_at: Option<SimTime> = None;
     let mut chunk_end = SimTime::ZERO;
-    loop {
+    let outcome = loop {
         // Boundaries advance monotonically even when a chunk processes no
         // events (e.g. everything pending lies past the horizon), so the
         // loop always reaches the horizon.
         chunk_end = (chunk_end.max(sim.now()) + window).min(horizon);
         sim.run_until_idle(chunk_end);
-        let probe = probe_fn(sim);
+        let now_probe = probe(sim);
         let delivered = sim.stats().packets_delivered;
-        let (_, _, page_done, broken) = probe;
+        let (_, _, page_done, broken) = now_probe;
 
         if sim.pending_events() == 0 {
-            let outcome = if page_done {
+            break if page_done {
                 TrialOutcome::Completed
             } else if broken {
                 TrialOutcome::ConnectionAborted
             } else {
                 TrialOutcome::Stalled
             };
-            return (outcome, stall_detected_at);
         }
-        let progressed = probe != last_probe || delivered != last_delivered;
+        let progressed = now_probe != last_probe || delivered != last_delivered;
         if progressed {
             if stall_detected_at.is_some() {
                 telemetry::emit("watchdog", "stall_recovered", |_| {});
@@ -506,7 +521,7 @@ fn watchdog_loop(
             telemetry::count("watchdog.stalls", 1);
         }
         if chunk_end == horizon {
-            let outcome = if page_done {
+            break if page_done {
                 TrialOutcome::Completed
             } else if broken {
                 TrialOutcome::ConnectionAborted
@@ -515,19 +530,24 @@ fn watchdog_loop(
             } else {
                 TrialOutcome::HorizonExhausted
             };
-            return (outcome, stall_detected_at);
         }
         if opts.fail_fast && !progressed && !page_done {
-            let outcome = if broken {
+            break if broken {
                 TrialOutcome::ConnectionAborted
             } else {
                 TrialOutcome::Stalled
             };
-            return (outcome, stall_detected_at);
         }
-        last_probe = probe;
+        last_probe = now_probe;
         last_delivered = delivered;
-    }
+    };
+    telemetry::emit("watchdog", "outcome", |ev| {
+        ev.fields.push(("outcome", outcome.label().into()));
+        if let Some(t) = stall_detected_at {
+            ev.fields.push(("stall_detected_ns", t.as_nanos().into()));
+        }
+    });
+    (outcome, stall_detected_at)
 }
 
 /// Per-object attack outcome against ground truth.
@@ -644,9 +664,16 @@ impl IsideWithTrial {
     }
 }
 
-/// Runs one isidewith trial with default options.
+/// Runs one isidewith trial over HTTP/2 with default options.
 pub fn run_isidewith_trial(seed: u64, attack: Option<AttackConfig>) -> IsideWithTrial {
-    run_isidewith_trial_with(TrialOptions::new(seed, attack))
+    run_isidewith_trial_with(TrialOptions::new(seed, attack), TransportKind::Tcp)
+}
+
+/// Runs one isidewith trial over QUIC/HTTP-3 with default options.
+/// Callers pass the same attack presets they use for the TCP path; the
+/// trial runner retargets them at QUIC.
+pub fn run_isidewith_h3_trial(seed: u64, attack: Option<AttackConfig>) -> IsideWithTrial {
+    run_isidewith_trial_with(TrialOptions::new(seed, attack), TransportKind::Quic)
 }
 
 /// The seed for retry `attempt` (attempt 0 is the original trial and
@@ -697,7 +724,7 @@ pub fn run_isidewith_trial_retrying(opts: TrialOptions, max_retries: u32) -> Ret
     for attempt in 0..=max_retries {
         let mut attempt_opts = opts.clone();
         attempt_opts.seed = derive_retry_seed(base_seed, attempt);
-        let trial = run_isidewith_trial_with(attempt_opts);
+        let trial = run_isidewith_trial_with(attempt_opts, TransportKind::Tcp);
         if !trial.result.outcome.is_degraded() || attempt == max_retries {
             return RetriedTrial {
                 trial,
@@ -719,61 +746,31 @@ pub fn run_isidewith_trial_retrying(opts: TrialOptions, max_retries: u32) -> Ret
     unreachable!("loop always returns on the last attempt");
 }
 
-/// Runs one isidewith trial with explicit options.
-pub fn run_isidewith_trial_with(mut opts: TrialOptions) -> IsideWithTrial {
-    // Derive the volunteer's survey result from the seed but on an
-    // independent stream, so attack configs do not perturb it.
-    let mut perm_rng = SimRng::new(
-        opts.seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(1),
-    );
-    let iw = IsideWith::generate(&mut perm_rng);
+/// Runs one isidewith trial with explicit options over `transport`.
+///
+/// The survey result comes from [`IsideWith::for_seed`], so a seed
+/// yields the same ground truth on both transports and any outcome
+/// difference is attributable to the transport alone.
+pub fn run_isidewith_trial_with(
+    mut opts: TrialOptions,
+    transport: TransportKind,
+) -> IsideWithTrial {
+    let iw = IsideWith::for_seed(opts.seed);
     // With Defense::None both calls are no-ops (configure leaves every
     // knob alone; transform_site is the same site.clone() an undefended
     // trial always performed), so legacy seeded runs stay byte-identical.
     let defense = opts.defense;
     defense.configure(&mut opts.server, &mut opts.client);
     let site = defense.transform_site(&iw, opts.seed);
-    let result = run_site_trial(site, &opts);
-    let prediction = result.predict(&SizeMap::isidewith());
-    IsideWithTrial {
-        iw,
-        result,
-        prediction,
-    }
-}
-
-/// Runs one isidewith trial over QUIC/HTTP-3 with default options.
-///
-/// The attack config's transport is forced to
-/// [`crate::attack::TransportKind::Quic`] so callers can pass the same
-/// presets they use for the TCP path.
-pub fn run_isidewith_h3_trial(seed: u64, attack: Option<AttackConfig>) -> IsideWithTrial {
-    run_isidewith_h3_trial_with(TrialOptions::new(seed, attack))
-}
-
-/// Runs one isidewith trial over QUIC/HTTP-3 with explicit options.
-///
-/// Uses the same survey-permutation stream as
-/// [`run_isidewith_trial_with`], so a given seed yields the same ground
-/// truth on both transports and any outcome difference is attributable
-/// to the transport alone.
-pub fn run_isidewith_h3_trial_with(mut opts: TrialOptions) -> IsideWithTrial {
-    if let Some(attack) = &mut opts.attack {
-        attack.transport = crate::attack::TransportKind::Quic;
-    }
-    let mut perm_rng = SimRng::new(
-        opts.seed
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(1),
-    );
-    let iw = IsideWith::generate(&mut perm_rng);
-    let defense = opts.defense;
-    defense.configure(&mut opts.server, &mut opts.client);
-    let site = defense.transform_site(&iw, opts.seed);
-    let result = run_h3_site_trial(site, &opts);
-    let prediction = result.predict_datagram(&SizeMap::isidewith());
+    let result = match transport {
+        TransportKind::Tcp => run_site_trial(site, &opts),
+        TransportKind::Quic => run_h3_site_trial(site, &opts),
+    };
+    let map = SizeMap::isidewith();
+    let prediction = match transport {
+        TransportKind::Tcp => result.predict(&map),
+        TransportKind::Quic => result.predict_datagram(&map),
+    };
     IsideWithTrial {
         iw,
         result,

@@ -22,9 +22,8 @@
 use crate::attack::{AttackConfig, TransportKind};
 use crate::defense::Defense;
 use crate::experiment::{
-    run_isidewith_h3_trial, run_isidewith_h3_trial_with, run_isidewith_trial,
-    run_isidewith_trial_retrying, run_isidewith_trial_with, run_site_trial, FaultPlan,
-    TrialOptions, TrialOutcome,
+    run_isidewith_h3_trial, run_isidewith_trial, run_isidewith_trial_retrying,
+    run_isidewith_trial_with, run_site_trial, FaultPlan, TrialOptions, TrialOutcome,
 };
 use crate::metrics::is_serialized;
 use crate::predictor::SizeMap;
@@ -1706,7 +1705,7 @@ impl Experiment for Ablation {
             }
             _ => {}
         }
-        let trial = run_isidewith_trial_with(opts);
+        let trial = run_isidewith_trial_with(opts, TransportKind::Tcp);
         AblationCell {
             serialized: is_serialized(trial.html_outcome().best_degree),
             rerequests: trial.result.client.h2_rerequests,
@@ -1926,10 +1925,7 @@ impl Experiment for DefenseMatrix {
         let seed = base_seed + 7_000_000 + (batch as u64) * 10_000 + trial;
         let mut opts = TrialOptions::new(seed, Some(defense_matrix_attack(b.attack)));
         opts.defense = b.defense;
-        let trial = match b.transport_kind() {
-            TransportKind::Tcp => run_isidewith_trial_with(opts),
-            TransportKind::Quic => run_isidewith_h3_trial_with(opts),
-        };
+        let trial = run_isidewith_trial_with(opts, b.transport_kind());
         let out = trial.html_outcome();
         let client = &trial.result.client;
         let page_ns = match (client.page_started_at, client.page_completed_at) {

@@ -17,9 +17,9 @@
 //! trace; [`ObjectMux::best`] reports the copy that came closest.
 
 use h2priv_tls::WireMap;
+use h2priv_util::fxhash::FxHashMap;
 use h2priv_util::impl_to_json;
 use h2priv_web::ObjectId;
-use std::collections::HashMap;
 
 /// Measurement tolerance below which a transmission counts as fully
 /// serialized ("degree of multiplexing brought down to 0%" in the
@@ -63,7 +63,7 @@ impl_to_json!(struct Entity { id, spans, start, end, bytes });
 
 /// All transmission entities in a wire map, in first-byte order.
 pub fn entities(map: &WireMap) -> Vec<Entity> {
-    let mut by_id: HashMap<(u32, u16), Entity> = HashMap::new();
+    let mut by_id: FxHashMap<(u32, u16), Entity> = FxHashMap::default();
     for span in map.spans().iter().filter(|s| s.tag.is_object_data()) {
         let key = (span.tag.object_id, span.tag.copy);
         let e = by_id.entry(key).or_insert_with(|| Entity {

@@ -10,8 +10,7 @@
 use h2priv_core::attack::AttackConfig;
 use h2priv_core::defense::Defense;
 use h2priv_core::experiment::{
-    run_isidewith_h3_trial_with, run_isidewith_trial_with, IsideWithTrial, TrialOptions,
-    TrialOutcome,
+    run_isidewith_trial_with, IsideWithTrial, TrialOptions, TrialOutcome,
 };
 use h2priv_core::TransportKind;
 use h2priv_netsim::time::SimDuration;
@@ -31,10 +30,7 @@ fn attack_for(_transport: TransportKind) -> AttackConfig {
 fn run_cell(defense: Defense, transport: TransportKind, seed: u64) -> IsideWithTrial {
     let mut opts = TrialOptions::new(seed, Some(attack_for(transport)));
     opts.defense = defense;
-    match transport {
-        TransportKind::Tcp => run_isidewith_trial_with(opts),
-        TransportKind::Quic => run_isidewith_h3_trial_with(opts),
-    }
+    run_isidewith_trial_with(opts, transport)
 }
 
 /// Asserts completion and payload conservation, then boils the trial

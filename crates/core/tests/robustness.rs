@@ -6,6 +6,7 @@ use h2priv_core::experiment::{
     derive_retry_seed, run_isidewith_trial, run_isidewith_trial_retrying, run_isidewith_trial_with,
     FaultPlan, TrialOptions, TrialOutcome,
 };
+use h2priv_core::TransportKind;
 use h2priv_netsim::faults::{FaultAction, FaultConfig, GilbertElliott};
 use h2priv_netsim::prelude::*;
 
@@ -34,7 +35,7 @@ fn clean_trial_reports_completed() {
 fn permanent_flap_aborts_connection() {
     let mut opts = TrialOptions::new(7, None);
     opts.faults = permanent_outage(SimTime::from_millis(300));
-    let trial = run_isidewith_trial_with(opts);
+    let trial = run_isidewith_trial_with(opts, TransportKind::Tcp);
     assert_eq!(trial.result.outcome, TrialOutcome::ConnectionAborted);
     assert!(trial.result.client.connection_broken);
     assert!(trial.result.client.page_completed_at.is_none());
@@ -58,7 +59,7 @@ fn permanent_flap_with_unbounded_retries_is_stalled() {
     opts.client.tcp.max_rto_retries = 10_000;
     opts.server.tcp.max_rto_retries = 10_000;
     opts.stall_window = SimDuration::from_secs(10);
-    let trial = run_isidewith_trial_with(opts);
+    let trial = run_isidewith_trial_with(opts, TransportKind::Tcp);
     assert_eq!(trial.result.outcome, TrialOutcome::Stalled);
     assert!(!trial.result.client.connection_broken);
     assert!(trial.result.stall_detected_at.is_some());
@@ -75,7 +76,7 @@ fn fail_fast_ends_stalled_trials_early() {
     opts.stall_window = SimDuration::from_secs(10);
     opts.fail_fast = true;
     let horizon = opts.horizon;
-    let trial = run_isidewith_trial_with(opts);
+    let trial = run_isidewith_trial_with(opts, TransportKind::Tcp);
     assert_eq!(trial.result.outcome, TrialOutcome::Stalled);
     assert!(
         trial.result.ended_at < SimTime::ZERO + horizon,
@@ -94,7 +95,7 @@ fn transient_flap_recovers_and_completes() {
         client_link: None,
         server_link: Some(cfg),
     };
-    let trial = run_isidewith_trial_with(opts);
+    let trial = run_isidewith_trial_with(opts, TransportKind::Tcp);
     assert_eq!(trial.result.outcome, TrialOutcome::Completed);
     assert!(trial.result.client.page_completed_at.is_some());
     assert!(
@@ -116,7 +117,7 @@ fn bursty_loss_always_terminates_classified() {
         };
         opts.fail_fast = true;
         let horizon = opts.horizon;
-        let trial = run_isidewith_trial_with(opts);
+        let trial = run_isidewith_trial_with(opts, TransportKind::Tcp);
         // Any outcome is acceptable; what matters is classification and
         // termination with the books kept.
         let burst: u64 = trial

@@ -13,14 +13,15 @@
 //!   that the paper's adversary destroys. A FIFO drain policy
 //!   ([`config::MuxPolicy::Serial`]) reproduces HTTP/1.1-style
 //!   head-of-line behaviour for baselines.
-//! * [`client::ClientNode`] models a Firefox-like browser: it walks a
+//! * [`page::PageLoad`] models a Firefox-like browser: it walks a
 //!   [`h2priv_web::Site`] request plan (dependency-triggered GETs),
 //!   re-issues a GET on a fresh stream when a response stalls (the
 //!   app-layer "retransmission requests" whose duplicate served copies
 //!   the paper observes as *intensified multiplexing*, Fig. 4), and
-//!   sends `RST_STREAM` + re-request after a long stall on a lossy
+//!   resets its streams + re-requests after a long stall on a lossy
 //!   channel (the behaviour the paper's targeted-drop phase exploits,
-//!   Fig. 6).
+//!   Fig. 6). [`client::ClientNode`] runs it over HTTP/2 (`RST_STREAM`
+//!   resets); `h2priv-quic`'s H3 client runs the same model over QUIC.
 //!
 //! Both endpoints run over `h2priv-tcp` connections wrapped in
 //! `h2priv-tls` record framing, attached to the `h2priv-netsim` event
@@ -36,12 +37,14 @@ pub mod config;
 pub mod conn;
 pub mod frame;
 pub mod hpack;
+pub mod page;
 pub mod server;
 pub mod stack;
 pub mod stream;
 
-pub use client::{ClientNode, ClientReport, ObjectOutcome, RequestRecord};
+pub use client::ClientNode;
 pub use config::{ClientConfig, MuxPolicy, ServerConfig, ShapingConfig};
 pub use frame::{ErrorCode, Frame, FrameType};
+pub use page::{ClientReport, ObjectOutcome, PageLoad, RequestRecord, RequestWire};
 pub use server::{ServeRecord, ServerNode};
 pub use stream::StreamId;

@@ -16,7 +16,7 @@ use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::units::Bandwidth;
 use h2priv_util::bytes::Bytes;
-use std::collections::HashMap;
+use h2priv_util::fxhash::FxHashMap;
 
 /// What a policy decides to do with one packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -204,8 +204,8 @@ impl PortMap {
 pub struct Middlebox {
     policy: Box<dyn MiddleboxPolicy>,
     ports: Option<PortMap>,
-    held: HashMap<u64, (Direction, Packet)>,
-    tokens: HashMap<u64, u64>,
+    held: FxHashMap<u64, (Direction, Packet)>,
+    tokens: FxHashMap<u64, u64>,
     stats: MiddleboxStats,
     tapped: bool,
 }
@@ -216,8 +216,8 @@ impl Middlebox {
         Middlebox {
             policy,
             ports: None,
-            held: HashMap::new(),
-            tokens: HashMap::new(),
+            held: FxHashMap::default(),
+            tokens: FxHashMap::default(),
             stats: MiddleboxStats::default(),
             tapped: true,
         }

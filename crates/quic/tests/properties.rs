@@ -246,8 +246,7 @@ struct FaultedTrial {
 
 fn h3_faulted_trial(seed: u64, target_loss: f64, burst: f64) -> FaultedTrial {
     let mut sim = Simulator::new(seed);
-    let mut perm_rng = SimRng::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1));
-    let site = IsideWith::generate(&mut perm_rng).site;
+    let site = IsideWith::for_seed(seed).site;
     let path = PathConfig::default();
     let client_cfg = ClientConfig {
         addr: path.client_addr,

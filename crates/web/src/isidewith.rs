@@ -159,6 +159,15 @@ impl IsideWith {
         Self::with_result_order(order)
     }
 
+    /// The volunteer's survey result for trial `seed`, drawn on a stream
+    /// independent of the trial's simulator RNG so attack and defense
+    /// configs never perturb it. Every trial entry point uses this, so a
+    /// seed yields the same ground truth on every transport.
+    pub fn for_seed(seed: u64) -> IsideWith {
+        let stream = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+        Self::generate(&mut SimRng::new(stream))
+    }
+
     /// Builds a trial with a fixed party order (deterministic tests).
     pub fn with_result_order(result_order: [Party; 8]) -> IsideWith {
         let mut objects: Vec<WebObject> = Vec::new();

@@ -2,9 +2,9 @@
 
 use crate::object::{ObjectId, WebObject};
 use h2priv_netsim::time::SimDuration;
+use h2priv_util::fxhash::FxHashMap;
 use h2priv_util::impl_to_json;
 use h2priv_util::json::{Json, ToJson};
-use std::collections::HashMap;
 
 /// What causes the browser to issue an object's GET.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,7 +93,7 @@ pub struct Site {
     /// The request plan in intended issue order.
     pub plan: Vec<PlanStep>,
     /// Path lookup index; derived from `objects`, not serialized.
-    by_path: HashMap<String, ObjectId>,
+    by_path: FxHashMap<String, ObjectId>,
 }
 
 impl_to_json!(struct Site { name, objects, plan });

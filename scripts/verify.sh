@@ -13,6 +13,12 @@ cargo build --release --offline
 echo "== cargo test -q --offline"
 cargo test -q --offline
 
+echo "== trialbench tests (the benchmark compiles against core's public trial API)"
+# trialbench is its own workspace; a core refactor that breaks its build
+# or its pipeline-vs-library check must fail here, not only in a
+# benchmark run.
+cargo test -q --offline --manifest-path trialbench/Cargo.toml
+
 echo "== cargo clippy --offline --all-targets -- -D warnings"
 cargo clippy --offline --all-targets -- -D warnings
 
