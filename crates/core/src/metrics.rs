@@ -49,8 +49,6 @@ impl_to_json!(struct EntityId { object, copy });
 pub struct Entity {
     /// Identity.
     pub id: EntityId,
-    /// Its data spans (stream offsets).
-    pub spans: Vec<(u64, u64)>,
     /// First data byte offset.
     pub start: u64,
     /// One past the last data byte offset.
@@ -59,69 +57,82 @@ pub struct Entity {
     pub bytes: u64,
 }
 
-impl_to_json!(struct Entity { id, spans, start, end, bytes });
+impl_to_json!(struct Entity { id, start, end, bytes });
 
 /// All transmission entities in a wire map, in first-byte order.
 pub fn entities(map: &WireMap) -> Vec<Entity> {
-    let mut by_id: FxHashMap<(u32, u16), Entity> = FxHashMap::default();
+    let mut index: FxHashMap<(u32, u16), usize> = FxHashMap::default();
+    let mut v: Vec<Entity> = Vec::new();
     for span in map.spans().iter().filter(|s| s.tag.is_object_data()) {
         let key = (span.tag.object_id, span.tag.copy);
-        let e = by_id.entry(key).or_insert_with(|| Entity {
-            id: EntityId {
-                object: ObjectId(span.tag.object_id),
-                copy: span.tag.copy,
-            },
-            spans: Vec::new(),
-            start: span.start,
-            end: span.end,
-            bytes: 0,
+        let i = *index.entry(key).or_insert_with(|| {
+            v.push(Entity {
+                id: EntityId {
+                    object: ObjectId(span.tag.object_id),
+                    copy: span.tag.copy,
+                },
+                start: span.start,
+                end: span.end,
+                bytes: 0,
+            });
+            v.len() - 1
         });
-        e.spans.push((span.start, span.end));
+        let e = &mut v[i];
         e.start = e.start.min(span.start);
         e.end = e.end.max(span.end);
         e.bytes += span.len();
     }
-    let mut v: Vec<Entity> = by_id.into_values().collect();
     v.sort_by_key(|e| e.start);
     v
 }
 
-/// Degree of multiplexing of one entity against all other entities in
-/// the map, in `[0, 1]`. Returns `None` if the entity sent no bytes.
-pub fn degree_of_multiplexing_entity(map: &WireMap, target: EntityId) -> Option<f64> {
-    let all = entities(map);
-    let t = all.iter().find(|e| e.id == target)?;
-    if t.bytes == 0 {
+/// Degree of multiplexing of `target` against the other entities of
+/// `all` (the entities of `map`), in `[0, 1]`; `None` if the entity
+/// sent no bytes. `clips` is scratch space for the interval merge.
+fn entity_degree(
+    map: &WireMap,
+    all: &[Entity],
+    target: &Entity,
+    clips: &mut Vec<(u64, u64)>,
+) -> Option<f64> {
+    if target.bytes == 0 {
         return None;
     }
-    // Other entities' windows.
-    let windows: Vec<(u64, u64)> = all
-        .iter()
-        .filter(|e| e.id != target)
-        .map(|e| (e.start, e.end))
-        .collect();
     let mut interleaved = 0u64;
-    for &(s, e) in &t.spans {
-        interleaved += covered_len(s, e, &windows);
+    let spans = map.spans().iter().filter(|s| {
+        s.tag.is_object_data()
+            && s.tag.object_id == target.id.object.0
+            && s.tag.copy == target.id.copy
+    });
+    for span in spans {
+        let windows = all
+            .iter()
+            .filter(|o| o.id != target.id)
+            .map(|o| (o.start, o.end));
+        interleaved += covered_len(span.start, span.end, windows, clips);
     }
-    Some(interleaved as f64 / t.bytes as f64)
+    Some(interleaved as f64 / target.bytes as f64)
 }
 
-/// Bytes of `[s, e)` covered by the union of `windows`.
-fn covered_len(s: u64, e: u64, windows: &[(u64, u64)]) -> u64 {
+/// Bytes of `[s, e)` covered by the union of `windows`; `clips` is
+/// scratch space reused across calls.
+fn covered_len(
+    s: u64,
+    e: u64,
+    windows: impl Iterator<Item = (u64, u64)>,
+    clips: &mut Vec<(u64, u64)>,
+) -> u64 {
     // Merge the clipped windows, then sum.
-    let mut clips: Vec<(u64, u64)> = windows
-        .iter()
-        .filter_map(|&(ws, we)| {
-            let lo = ws.max(s);
-            let hi = we.min(e);
-            (lo < hi).then_some((lo, hi))
-        })
-        .collect();
+    clips.clear();
+    clips.extend(windows.filter_map(|(ws, we)| {
+        let lo = ws.max(s);
+        let hi = we.min(e);
+        (lo < hi).then_some((lo, hi))
+    }));
     clips.sort_unstable();
     let mut total = 0;
     let mut cur: Option<(u64, u64)> = None;
-    for (lo, hi) in clips {
+    for &(lo, hi) in clips.iter() {
         match cur.as_mut() {
             Some((_, ce)) if lo <= *ce => *ce = (*ce).max(hi),
             _ => {
@@ -136,6 +147,67 @@ fn covered_len(s: u64, e: u64, windows: &[(u64, u64)]) -> u64 {
         total += ce - cs;
     }
     total
+}
+
+/// Scores the degree of multiplexing of several objects over one wire
+/// map. The entity set is built at most once, and only when a scored
+/// object has data on the wire; the interval-merge buffer is reused
+/// across objects.
+#[derive(Debug)]
+pub(crate) struct MuxScorer<'a> {
+    map: &'a WireMap,
+    entities: Option<Vec<Entity>>,
+    clips: Vec<(u64, u64)>,
+}
+
+impl<'a> MuxScorer<'a> {
+    /// A scorer over `map`.
+    pub(crate) fn new(map: &'a WireMap) -> MuxScorer<'a> {
+        MuxScorer {
+            map,
+            entities: None,
+            clips: Vec::new(),
+        }
+    }
+
+    /// Degree of multiplexing for every served copy of `object`, in
+    /// copy order (see [`degree_of_multiplexing`]).
+    pub(crate) fn degree(&mut self, object: ObjectId) -> ObjectMux {
+        let mut per_copy = Vec::new();
+        self.for_each_copy(object, |copy, d| per_copy.push((copy, d)));
+        per_copy.sort_unstable_by_key(|&(copy, _)| copy);
+        ObjectMux { object, per_copy }
+    }
+
+    /// The lowest degree over `object`'s served copies — what
+    /// [`ObjectMux::best`] reports — without building the per-copy list.
+    pub(crate) fn best_degree(&mut self, object: ObjectId) -> Option<f64> {
+        let mut best: Option<f64> = None;
+        self.for_each_copy(object, |_, d| {
+            if best.is_none_or(|b| d.total_cmp(&b).is_lt()) {
+                best = Some(d);
+            }
+        });
+        best
+    }
+
+    fn for_each_copy(&mut self, object: ObjectId, mut f: impl FnMut(u16, f64)) {
+        let served = self
+            .map
+            .spans()
+            .iter()
+            .any(|s| s.tag.is_object_data() && s.tag.object_id == object.0);
+        if !served {
+            return;
+        }
+        let map = self.map;
+        let all = self.entities.get_or_insert_with(|| entities(map));
+        for target in all.iter().filter(|e| e.id.object == object) {
+            if let Some(d) = entity_degree(map, all, target, &mut self.clips) {
+                f(target.id.copy, d);
+            }
+        }
+    }
 }
 
 /// Per-object multiplexing summary across all served copies.
@@ -172,14 +244,7 @@ impl ObjectMux {
 
 /// Degree of multiplexing for every served copy of `object`.
 pub fn degree_of_multiplexing(map: &WireMap, object: ObjectId) -> ObjectMux {
-    let per_copy = map
-        .copies_of(object.0)
-        .into_iter()
-        .filter_map(|copy| {
-            degree_of_multiplexing_entity(map, EntityId { object, copy }).map(|d| (copy, d))
-        })
-        .collect();
-    ObjectMux { object, per_copy }
+    MuxScorer::new(map).degree(object)
 }
 
 #[cfg(test)]
@@ -305,8 +370,30 @@ mod tests {
 
     #[test]
     fn covered_len_merges_overlaps() {
-        assert_eq!(covered_len(0, 100, &[(10, 30), (20, 50), (90, 200)]), 50);
-        assert_eq!(covered_len(0, 100, &[]), 0);
-        assert_eq!(covered_len(50, 60, &[(0, 100)]), 10);
+        let covered = |s, e, windows: &[(u64, u64)]| {
+            covered_len(s, e, windows.iter().copied(), &mut Vec::new())
+        };
+        assert_eq!(covered(0, 100, &[(10, 30), (20, 50), (90, 200)]), 50);
+        assert_eq!(covered(0, 100, &[]), 0);
+        assert_eq!(covered(50, 60, &[(0, 100)]), 10);
+    }
+
+    #[test]
+    fn scorer_matches_per_object_degree() {
+        let m = map(&[
+            (0, 50, 1, 0),
+            (50, 100, 1, 1),
+            (100, 150, 1, 0),
+            (150, 200, 2, 0),
+            (200, 210, 3, 0),
+            (210, 230, 2, 0),
+        ]);
+        let mut scorer = MuxScorer::new(&m);
+        for object in [ObjectId(1), ObjectId(2), ObjectId(3), ObjectId(9)] {
+            let fresh = degree_of_multiplexing(&m, object);
+            let scored = scorer.degree(object);
+            assert_eq!(scored.per_copy, fresh.per_copy, "{object:?}");
+            assert_eq!(scorer.best_degree(object), fresh.best().map(|(_, d)| d));
+        }
     }
 }

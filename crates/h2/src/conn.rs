@@ -30,8 +30,11 @@ pub struct QueuedFrame {
 /// stream (paper Section IV-D).
 #[derive(Debug, Default)]
 pub struct OutputScheduler {
+    /// Per-stream queues. A stream's deque stays allocated once created,
+    /// empty or not, so a stream that drains and refills reuses it.
     queues: FxHashMap<StreamId, VecDeque<QueuedFrame>>,
-    /// Round-robin rotation of streams with queued frames.
+    /// Round-robin rotation of streams with queued frames (exactly the
+    /// streams whose deque is non-empty).
     rotation: VecDeque<StreamId>,
     /// Running total of queued DATA payload bytes, maintained on
     /// enqueue/pop/clear so the send watermark check is O(1) — it runs
@@ -62,8 +65,8 @@ impl OutputScheduler {
     /// payload bytes were flushed.
     pub fn clear_stream(&mut self, stream: StreamId) -> u64 {
         let mut flushed = 0;
-        if let Some(q) = self.queues.remove(&stream) {
-            for qf in q {
+        if let Some(q) = self.queues.get_mut(&stream) {
+            for qf in q.drain(..) {
                 if let Frame::Data { len, .. } = qf.frame {
                     flushed += len as u64;
                 }
@@ -104,9 +107,7 @@ impl OutputScheduler {
                     self.queued_data -= len as u64;
                 }
                 self.rotation.pop_front();
-                if q.is_empty() {
-                    self.queues.remove(&stream);
-                } else {
+                if !q.is_empty() {
                     self.rotation.push_back(stream);
                 }
                 return Some(qf);
@@ -181,9 +182,7 @@ impl OutputScheduler {
                 self.queued_data -= len as u64;
             }
             self.rotation.pop_front();
-            if q.is_empty() {
-                self.queues.remove(&stream);
-            } else {
+            if !q.is_empty() {
                 self.rotation.push_back(stream);
             }
             return Some(qf);
@@ -193,7 +192,7 @@ impl OutputScheduler {
 
     /// `true` when nothing is queued.
     pub fn is_empty(&self) -> bool {
-        self.queues.is_empty()
+        self.rotation.is_empty()
     }
 
     /// Total queued DATA payload bytes (for tests and watermarks).
@@ -203,7 +202,7 @@ impl OutputScheduler {
 
     /// Streams currently holding queued frames.
     pub fn active_streams(&self) -> Vec<StreamId> {
-        let mut v: Vec<StreamId> = self.queues.keys().copied().collect();
+        let mut v = self.rotation.iter().copied().collect::<Vec<_>>();
         v.sort();
         v
     }

@@ -393,13 +393,25 @@ pub struct Response {
     pub content_length: Option<u64>,
 }
 
-/// Parses a response block produced by [`encode_response`].
+/// Parses a response block produced by [`encode_response`], reading the
+/// first `:status` and `content-length` fields in place (no per-header
+/// `String`s). Like [`decode_request_ref`], the whole block must decode
+/// cleanly; `None` on malformed input or a missing `:status`.
 pub fn decode_response(block: &[u8]) -> Option<Response> {
-    let headers = decode(block)?;
-    let get = |k: &str| headers.iter().find(|(n, _)| n == k).map(|(_, v)| v.clone());
+    let (mut status, mut content_length) = (None, None);
+    let mut buf = block;
+    while !buf.is_empty() {
+        let ((name, value), used) = decode_field(buf)?;
+        match name {
+            ":status" => status = status.or(Some(value)),
+            "content-length" => content_length = content_length.or(Some(value)),
+            _ => {}
+        }
+        buf = &buf[used..];
+    }
     Some(Response {
-        status: get(":status")?.parse().ok()?,
-        content_length: get("content-length").and_then(|v| v.parse().ok()),
+        status: status?.parse().ok()?,
+        content_length: content_length.and_then(|v| v.parse().ok()),
     })
 }
 
@@ -448,6 +460,33 @@ mod tests {
         let resp = decode_response(&block).expect("decodes");
         assert_eq!(resp.status, 200);
         assert_eq!(resp.content_length, Some(9_500));
+    }
+
+    #[test]
+    fn truncated_response_block_is_rejected_mid_field() {
+        let block = encode_response(9_500, "text/html");
+        let mut boundaries = vec![0];
+        let mut at = 0;
+        while at < block.len() {
+            at += decode_field(&block[at..]).expect("well-formed field").1;
+            boundaries.push(at);
+        }
+        for cut in 0..block.len() {
+            let resp = decode_response(&block[..cut]);
+            if boundaries.contains(&cut) {
+                // A cut between fields is a well-formed shorter block:
+                // it parses iff it still carries `:status` (the first
+                // field), and `content-length` only once that field is
+                // whole.
+                assert_eq!(resp.is_some(), cut > 0, "cut {cut}");
+                if let Some(resp) = resp {
+                    assert_eq!(resp.status, 200);
+                    assert!(resp.content_length.is_none() || resp.content_length == Some(9_500));
+                }
+            } else {
+                assert_eq!(resp, None, "cut {cut} splits a field");
+            }
+        }
     }
 
     #[test]

@@ -191,7 +191,7 @@ impl ServerNode {
         self.stack.pad_bytes()
     }
 
-    fn handle_records(&mut self, ctx: &mut Ctx<'_>, records: Vec<OpenedRecord>) {
+    fn handle_records(&mut self, ctx: &mut Ctx<'_>, records: &[OpenedRecord]) {
         for rec in records {
             match rec.content_type {
                 ContentType::Handshake => match self.tls {
@@ -214,10 +214,8 @@ impl ServerNode {
                     TlsPhase::Ready => {}
                 },
                 ContentType::ApplicationData => {
-                    let mut buf = &rec.plaintext[..];
-                    while let Some((frame, used)) = Frame::decode(buf) {
+                    for frame in Frame::decode_all(&rec.plaintext) {
                         self.handle_frame(ctx, frame);
-                        buf = &buf[used..];
                     }
                 }
                 ContentType::ChangeCipherSpec | ContentType::Alert => {}
@@ -485,12 +483,7 @@ impl ServerNode {
             if let Frame::Data { len, .. } = qf.frame {
                 self.conn_send_window = self.conn_send_window.saturating_sub(len as u64);
             }
-            let bytes = qf
-                .frame
-                .encode()
-                .expect("frame within RFC 7540 payload limit");
-            self.stack
-                .write_record(ContentType::ApplicationData, &bytes, qf.tag);
+            self.stack.write_frame(&qf.frame, qf.tag);
         }
     }
 
@@ -510,12 +503,7 @@ impl ServerNode {
             if let Frame::Data { len, .. } = qf.frame {
                 self.conn_send_window = self.conn_send_window.saturating_sub(len as u64);
             }
-            let bytes = qf
-                .frame
-                .encode()
-                .expect("frame within RFC 7540 payload limit");
-            self.stack
-                .write_record(ContentType::ApplicationData, &bytes, qf.tag);
+            self.stack.write_frame(&qf.frame, qf.tag);
             if is_data {
                 self.last_activity_at = Some(ctx.now());
                 sent_data = true;
@@ -534,10 +522,8 @@ impl ServerNode {
                 len: sh.cell,
                 end_stream: false,
             };
-            let bytes = frame.encode().expect("cell within RFC 7540 payload limit");
-            self.stack.write_record(
-                ContentType::ApplicationData,
-                &bytes,
+            self.stack.write_frame(
+                &frame,
                 RecordTag {
                     stream_id: DUMMY_STREAM.0,
                     object_id: u32::MAX,
@@ -589,9 +575,9 @@ impl ServerNode {
         }
     }
 
-    fn handle_events(&mut self, events: Vec<TransportEvent>) {
+    fn handle_events(&mut self, events: &[TransportEvent]) {
         for ev in events {
-            if ev == TransportEvent::Aborted {
+            if *ev == TransportEvent::Aborted {
                 self.dead = true;
             }
         }
@@ -606,9 +592,10 @@ impl Node for ServerNode {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _from: LinkId, pkt: Packet) {
-        let (records, events) = self.stack.on_packet(ctx.now(), &pkt);
-        self.handle_events(events);
-        self.handle_records(ctx, records);
+        let inbound = self.stack.on_packet(ctx.now(), pkt);
+        self.handle_events(&inbound.events);
+        self.handle_records(ctx, &inbound.records);
+        self.stack.recycle(inbound);
         self.after_activity(ctx);
     }
 
@@ -616,9 +603,10 @@ impl Node for ServerNode {
         match self.timers.remove(&timer) {
             Some(TimerPurpose::TcpTick) => {
                 self.stack.tcp_tick_at = None;
-                let (records, events) = self.stack.on_tcp_timer(ctx.now());
-                self.handle_events(events);
-                self.handle_records(ctx, records);
+                let inbound = self.stack.on_tcp_timer(ctx.now());
+                self.handle_events(&inbound.events);
+                self.handle_records(ctx, &inbound.records);
+                self.stack.recycle(inbound);
             }
             Some(TimerPurpose::Worker(idx)) => {
                 self.worker_tick(ctx, idx);

@@ -2,13 +2,15 @@
 //! event loop. Used by both [`crate::server::ServerNode`] and
 //! [`crate::client::ClientNode`].
 
+use crate::frame::Frame;
+use crate::stream::StreamId;
 use h2priv_netsim::link::LinkId;
 use h2priv_netsim::node::Ctx;
 use h2priv_netsim::packet::Packet;
 use h2priv_netsim::time::SimTime;
 use h2priv_tcp::{TcpConnection, TcpEvent};
 use h2priv_tls::{ContentType, OpenedRecord, RecordOpener, RecordSealer, RecordTag, WireMap};
-use h2priv_util::bytes::Bytes;
+use h2priv_util::bytes::{self, Bytes, BytesMut};
 
 /// Model sizes of the TLS handshake flights (bytes of handshake records
 /// on the wire, typical for TLS 1.2 with a ~2.5 KB certificate chain).
@@ -36,6 +38,18 @@ pub enum TransportEvent {
     Aborted,
 }
 
+/// What one [`Stack::on_packet`] or [`Stack::on_tcp_timer`] call
+/// delivered: complete TLS records and transport events, each in arrival
+/// order. Hand it back with [`Stack::recycle`] once handled, so its
+/// vectors and record buffers are reused.
+#[derive(Debug, Default)]
+pub struct Inbound {
+    /// Complete records; plaintexts come from the thread's record pool.
+    pub records: Vec<OpenedRecord>,
+    /// Transport events.
+    pub events: Vec<TransportEvent>,
+}
+
 /// A TCP connection wrapped in TLS record framing, with helpers to pump
 /// segments into the simulator.
 #[derive(Debug)]
@@ -47,6 +61,10 @@ pub struct Stack {
     egress: Option<LinkId>,
     /// Deadline currently covered by a scheduled TCP tick, if any.
     pub tcp_tick_at: Option<SimTime>,
+    /// Frame-encoding buffer reused by every frame write.
+    scratch: BytesMut,
+    /// The vectors of the last recycled [`Inbound`].
+    spare: Inbound,
 }
 
 impl Stack {
@@ -74,6 +92,8 @@ impl Stack {
             },
             egress: None,
             tcp_tick_at: None,
+            scratch: BytesMut::new(),
+            spare: Inbound::default(),
         }
     }
 
@@ -95,42 +115,86 @@ impl Stack {
         self.tcp.write(wire);
     }
 
-    /// Feeds an arriving packet into TCP; returns complete TLS records
-    /// and transport events in arrival order.
-    pub fn on_packet(
+    /// Encodes `frame` into the reused scratch buffer and writes it as
+    /// one ApplicationData record, like [`Stack::write_record`].
+    ///
+    /// # Panics
+    /// Panics if the frame's payload exceeds the 24-bit length field.
+    pub fn write_frame(&mut self, frame: &Frame, tag: RecordTag) {
+        self.scratch.clear();
+        frame
+            .encode_into(&mut self.scratch)
+            .expect("frame within RFC 7540 payload limit");
+        self.write_scratch(tag);
+    }
+
+    /// Writes a HEADERS frame whose block `encode_block` encodes in place
+    /// (see [`Frame::encode_headers_into`]), like [`Stack::write_frame`].
+    pub fn write_headers(
         &mut self,
-        now: SimTime,
-        pkt: &Packet,
-    ) -> (Vec<OpenedRecord>, Vec<TransportEvent>) {
+        stream: StreamId,
+        end_stream: bool,
+        tag: RecordTag,
+        encode_block: impl FnOnce(&mut BytesMut),
+    ) {
+        self.scratch.clear();
+        Frame::encode_headers_into(&mut self.scratch, stream, end_stream, encode_block)
+            .expect("header block within RFC 7540 payload limit");
+        self.write_scratch(tag);
+    }
+
+    fn write_scratch(&mut self, tag: RecordTag) {
+        let wire = self
+            .sealer
+            .seal(ContentType::ApplicationData, &self.scratch, tag);
+        self.tcp.write(wire);
+    }
+
+    /// Feeds an arriving packet into TCP; returns complete TLS records
+    /// and transport events in arrival order. The packet's payload goes
+    /// back to the record pool once TCP is done with it.
+    pub fn on_packet(&mut self, now: SimTime, pkt: Packet) -> Inbound {
         self.tcp.on_segment(now, &pkt.header, pkt.payload.clone());
-        self.collect()
+        let inbound = self.collect();
+        bytes::recycle(pkt.payload);
+        inbound
     }
 
     /// Drives the TCP timer; returns records/events like
     /// [`Stack::on_packet`].
-    pub fn on_tcp_timer(&mut self, now: SimTime) -> (Vec<OpenedRecord>, Vec<TransportEvent>) {
+    pub fn on_tcp_timer(&mut self, now: SimTime) -> Inbound {
         self.tcp.on_timer(now);
         self.collect()
     }
 
-    fn collect(&mut self) -> (Vec<OpenedRecord>, Vec<TransportEvent>) {
-        let mut records = Vec::new();
-        let mut events = Vec::new();
+    /// Takes back a handled [`Inbound`]: record plaintexts return to the
+    /// record pool (unless a frame decoded from them is still alive) and
+    /// the vectors are kept for the next call.
+    pub fn recycle(&mut self, mut inbound: Inbound) {
+        for rec in inbound.records.drain(..) {
+            bytes::recycle(rec.plaintext);
+        }
+        inbound.events.clear();
+        self.spare = inbound;
+    }
+
+    fn collect(&mut self) -> Inbound {
+        let mut inbound = std::mem::take(&mut self.spare);
         while let Some(ev) = self.tcp.poll_event() {
             match ev {
                 TcpEvent::Data(bytes) => {
                     self.opener.push(&bytes);
                     while let Some(rec) = self.opener.poll_record() {
-                        records.push(rec);
+                        inbound.records.push(rec);
                     }
                 }
-                TcpEvent::Connected => events.push(TransportEvent::Connected),
-                TcpEvent::PeerFin => events.push(TransportEvent::PeerFin),
-                TcpEvent::Closed => events.push(TransportEvent::Closed),
-                TcpEvent::Aborted(_) => events.push(TransportEvent::Aborted),
+                TcpEvent::Connected => inbound.events.push(TransportEvent::Connected),
+                TcpEvent::PeerFin => inbound.events.push(TransportEvent::PeerFin),
+                TcpEvent::Closed => inbound.events.push(TransportEvent::Closed),
+                TcpEvent::Aborted(_) => inbound.events.push(TransportEvent::Aborted),
             }
         }
-        (records, events)
+        inbound
     }
 
     /// Transmits every segment TCP has ready onto the egress link.
@@ -206,10 +270,8 @@ mod tests {
                 c.tcp.on_segment(now, &h, p);
                 quiet = false;
             }
-            let (rs, _es) = s.collect();
-            server_got.extend(rs);
-            let (rc, _ec) = c.collect();
-            client_got.extend(rc);
+            server_got.extend(s.collect().records);
+            client_got.extend(c.collect().records);
             if !wrote && matches!(c.tcp.state(), h2priv_tcp::TcpState::Established) {
                 c.write_record(
                     ContentType::Handshake,

@@ -63,40 +63,31 @@ impl AckRanges {
     /// every number in the range was already present.
     pub fn insert_range(&mut self, start: u64, end: u64) -> bool {
         debug_assert!(start <= end);
-        let mut new_start = start;
-        let mut new_end = end;
-        let fresh;
-        // Merge with any overlapping or adjacent existing ranges.
-        let low = new_start.saturating_sub(1);
-        let mut absorb = Vec::new();
-        for (&s, &e) in self.ranges.range(..=new_end.saturating_add(1)) {
-            if e >= low {
-                absorb.push((s, e));
+        let span = end - start + 1;
+        let (low, high) = (start.saturating_sub(1), end.saturating_add(1));
+        let (mut new_start, mut new_end) = (start, end);
+        let mut absorbed = false;
+        let mut overlap = 0u64;
+        // Merge in place with every overlapping or adjacent range. The
+        // ranges are disjoint and sorted, so those are exactly the last
+        // ranges starting at or before `high` whose end reaches `low`.
+        while let Some((&s, &e)) = self.ranges.range(..=high).next_back() {
+            if e < low {
+                break;
             }
-        }
-        if absorb.is_empty() {
-            fresh = true;
-        } else {
-            // Fresh iff the existing ranges don't already cover every
-            // number in [start, end] (adjacent-only merges cover none).
-            let span = new_end - new_start + 1;
-            let mut overlap = 0u64;
-            for &(s, e) in &absorb {
-                let lo = s.max(new_start);
-                let hi = e.min(new_end);
-                if lo <= hi {
-                    overlap += hi - lo + 1;
-                }
+            let (lo, hi) = (s.max(start), e.min(end));
+            if lo <= hi {
+                overlap += hi - lo + 1;
             }
-            fresh = overlap < span;
-            for (s, e) in absorb {
-                self.ranges.remove(&s);
-                new_start = new_start.min(s);
-                new_end = new_end.max(e);
-            }
+            self.ranges.remove(&s);
+            new_start = new_start.min(s);
+            new_end = new_end.max(e);
+            absorbed = true;
         }
         self.ranges.insert(new_start, new_end);
-        fresh
+        // Fresh iff the existing ranges don't already cover every number
+        // in [start, end] (adjacent-only merges cover none).
+        !absorbed || overlap < span
     }
 
     /// `true` if `pn` is in the set.

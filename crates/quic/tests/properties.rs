@@ -95,6 +95,29 @@ fn ack_ranges_match_sorted_set_model() {
     });
 }
 
+#[test]
+fn ack_range_merges_match_set_oracle_after_every_insert() {
+    // Wide ranges over a narrow domain, so one insert absorbs several
+    // existing ranges and touches neighbours on both sides; half the
+    // cases sit against `u64::MAX` to cover the saturating bounds.
+    run("ack-range-merges-vs-set-oracle", 256, |g: &mut Gen| {
+        let base = if g.bool(0.5) { 0 } else { u64::MAX - 80 };
+        let mut ranges = AckRanges::new();
+        let mut model: BTreeSet<u64> = BTreeSet::new();
+        for _ in 0..g.usize(1, 40) {
+            let start = base + g.u64(0, 80);
+            let end = start + g.u64(0, (base + 80 - start).min(30));
+            let fresh = ranges.insert_range(start, end);
+            let mut any_new = false;
+            for pn in start..=end {
+                any_new |= model.insert(pn);
+            }
+            prop_assert_eq!(fresh, any_new);
+            prop_assert_eq!(ranges.iter().collect::<Vec<_>>(), model_runs(&model));
+        }
+    });
+}
+
 /// One sans-I/O client↔server session: the server sends `bodies` (one
 /// stream each, fin-terminated) across a wire that drops datagrams in
 /// seeded Gilbert–Elliott-style bursts. Returns the per-stream delivered

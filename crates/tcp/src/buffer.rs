@@ -2,8 +2,10 @@
 //!
 //! Holds written-but-not-yet-acknowledged application bytes, addressed by
 //! absolute stream offset, so the sender can (re)read any unacked range.
+//! Fully acknowledged chunks go back to the thread's record pool, which
+//! refuses any chunk a segment in flight still shares.
 
-use h2priv_util::bytes::{Bytes, BytesMut};
+use h2priv_util::bytes::{self, Bytes, BytesPool};
 use std::collections::VecDeque;
 
 /// A byte buffer addressed by absolute stream offsets.
@@ -64,8 +66,11 @@ impl SendBuffer {
             if chunk.len() - skip >= want {
                 return chunk.slice(skip..skip + want);
             }
-            // Range spans a chunk boundary: assemble a copy.
-            let mut out = BytesMut::with_capacity(want);
+            // Range spans a chunk boundary: assemble a copy in a pooled
+            // buffer.
+            let mut pooled = bytes::with_record_pool(BytesPool::acquire);
+            let out = pooled.buf();
+            out.reserve(want);
             out.extend_from_slice(&chunk[skip..]);
             for chunk in chunks {
                 let take = chunk.len().min(want - out.len());
@@ -74,13 +79,14 @@ impl SendBuffer {
                     break;
                 }
             }
-            return out.freeze();
+            return pooled.freeze();
         }
         unreachable!("read range verified against end_offset");
     }
 
     /// Discards all bytes below absolute offset `upto` (clamped to the
-    /// written range); they have been acknowledged.
+    /// written range); they have been acknowledged. Whole chunks are
+    /// offered back to the record pool.
     pub fn release(&mut self, upto: u64) {
         let upto = upto.min(self.end_offset());
         while self.base < upto {
@@ -91,7 +97,9 @@ impl SendBuffer {
             if drop == front.len() {
                 self.base += front.len() as u64;
                 self.len -= front.len() as u64;
-                self.chunks.pop_front();
+                if let Some(chunk) = self.chunks.pop_front() {
+                    bytes::recycle(chunk);
+                }
             } else {
                 let _ = front.split_to(drop);
                 self.base += drop as u64;

@@ -10,10 +10,18 @@ use crate::record::{
     ContentType, RecordHeader, AEAD_TAG_LEN, MAX_RECORD_PLAINTEXT, RECORD_HEADER_LEN, WIRE_VERSION,
 };
 use crate::wire_map::{RecordTag, WireMap, WireSpan};
-use h2priv_util::bytes::{Bytes, BytesMut};
+use h2priv_util::bytes::{pooled_copy, with_record_pool, Bytes, BytesPool};
 
 /// Length of the cleartext length prefix inside a padded record body.
 pub const PAD_PREFIX_LEN: usize = 2;
+
+fn header(content_type: ContentType, body_len: usize) -> RecordHeader {
+    RecordHeader {
+        content_type,
+        version: WIRE_VERSION,
+        length: body_len as u16,
+    }
+}
 
 /// Encrypt-direction half of a session: plaintext in, wire bytes out.
 #[derive(Debug, Default)]
@@ -51,48 +59,43 @@ impl RecordSealer {
     }
 
     /// Seals one message, fragmenting into records of at most 16 KiB
-    /// plaintext. Returns the wire bytes to hand to TCP.
+    /// plaintext. Returns the wire bytes to hand to TCP, in a buffer from
+    /// the thread's record pool.
     pub fn seal(&mut self, ct: ContentType, plaintext: &[u8], tag: RecordTag) -> Bytes {
+        let mut buf = with_record_pool(BytesPool::acquire);
+        let out = buf.buf();
+        out.reserve(plaintext.len() + RECORD_HEADER_LEN + AEAD_TAG_LEN);
         if self.pad_block > 0 && ct == ContentType::ApplicationData {
-            return self.seal_padded(plaintext, tag);
+            self.seal_padded(out, plaintext, tag);
+        } else {
+            self.seal_plain(out, ct, plaintext, tag);
         }
-        let mut out = BytesMut::with_capacity(plaintext.len() + RECORD_HEADER_LEN + AEAD_TAG_LEN);
+        buf.freeze()
+    }
+
+    fn seal_plain(&mut self, out: &mut Vec<u8>, ct: ContentType, plaintext: &[u8], tag: RecordTag) {
         let mut rest = plaintext;
         loop {
             let take = rest.len().min(MAX_RECORD_PLAINTEXT - AEAD_TAG_LEN);
             let body_len = take + AEAD_TAG_LEN;
-            let header = RecordHeader {
-                content_type: ct,
-                version: WIRE_VERSION,
-                length: body_len as u16,
-            };
-            out.extend_from_slice(&header.encode());
+            out.extend_from_slice(&header(ct, body_len).encode());
             out.extend_from_slice(&rest[..take]);
             // The AEAD tag: opaque bytes on the wire (zeros here — no
             // real cryptography in the model).
             out.extend_from_slice(&[0u8; AEAD_TAG_LEN]);
-            let total = (RECORD_HEADER_LEN + body_len) as u64;
-            self.map.push(WireSpan {
-                start: self.wire_offset,
-                end: self.wire_offset + total,
-                tag,
-            });
-            self.wire_offset += total;
-            self.records_sealed += 1;
+            self.record_sealed(body_len, tag);
             rest = &rest[take..];
             if rest.is_empty() {
                 break;
             }
         }
-        out.freeze()
     }
 
     /// Padded variant: each record's plaintext is
     /// `[2-byte payload len][payload][zero pad]`, rounded up to a
     /// multiple of `pad_block` (capped at the record plaintext limit).
-    fn seal_padded(&mut self, plaintext: &[u8], tag: RecordTag) -> Bytes {
+    fn seal_padded(&mut self, out: &mut Vec<u8>, plaintext: &[u8], tag: RecordTag) {
         let max_inner = MAX_RECORD_PLAINTEXT - AEAD_TAG_LEN;
-        let mut out = BytesMut::with_capacity(plaintext.len() + RECORD_HEADER_LEN + AEAD_TAG_LEN);
         let mut rest = plaintext;
         loop {
             let take = rest.len().min(max_inner - PAD_PREFIX_LEN);
@@ -102,31 +105,31 @@ impl RecordSealer {
                 .saturating_mul(self.pad_block)
                 .min(max_inner);
             let body_len = inner + AEAD_TAG_LEN;
-            let header = RecordHeader {
-                content_type: ContentType::ApplicationData,
-                version: WIRE_VERSION,
-                length: body_len as u16,
-            };
-            out.extend_from_slice(&header.encode());
-            out.put_u16(take as u16);
+            out.extend_from_slice(&header(ContentType::ApplicationData, body_len).encode());
+            out.extend_from_slice(&(take as u16).to_be_bytes());
             out.extend_from_slice(&rest[..take]);
-            out.put_zeros(inner - unpadded);
+            out.resize(out.len() + inner - unpadded, 0);
             out.extend_from_slice(&[0u8; AEAD_TAG_LEN]);
             self.pad_bytes += (inner - take) as u64;
-            let total = (RECORD_HEADER_LEN + body_len) as u64;
-            self.map.push(WireSpan {
-                start: self.wire_offset,
-                end: self.wire_offset + total,
-                tag,
-            });
-            self.wire_offset += total;
-            self.records_sealed += 1;
+            self.record_sealed(body_len, tag);
             rest = &rest[take..];
             if rest.is_empty() {
                 break;
             }
         }
-        out.freeze()
+    }
+
+    /// Maps the record just written (header plus `body_len` body bytes)
+    /// in the ground truth and advances the stream offset.
+    fn record_sealed(&mut self, body_len: usize, tag: RecordTag) {
+        let total = (RECORD_HEADER_LEN + body_len) as u64;
+        self.map.push(WireSpan {
+            start: self.wire_offset,
+            end: self.wire_offset + total,
+            tag,
+        });
+        self.wire_offset += total;
+        self.records_sealed += 1;
     }
 
     /// Total padding overhead emitted so far (prefix + zero fill), in
@@ -161,7 +164,9 @@ impl RecordSealer {
 pub struct OpenedRecord {
     /// The content type from the cleartext header.
     pub content_type: ContentType,
-    /// The recovered plaintext (body minus AEAD tag).
+    /// The recovered plaintext (body minus AEAD tag), in a buffer from
+    /// the thread's record pool; hand it back with
+    /// [`h2priv_util::bytes::recycle`] once handled.
     pub plaintext: Bytes,
 }
 
@@ -242,9 +247,9 @@ impl RecordOpener {
                 PAD_PREFIX_LEN + real <= body.len(),
                 "corrupt padded record: payload length exceeds body"
             );
-            Bytes::copy_from_slice(&body[PAD_PREFIX_LEN..PAD_PREFIX_LEN + real])
+            pooled_copy(&body[PAD_PREFIX_LEN..PAD_PREFIX_LEN + real])
         } else {
-            Bytes::copy_from_slice(body)
+            pooled_copy(body)
         };
         self.head += RECORD_HEADER_LEN + body_len;
         Some(OpenedRecord {
@@ -262,6 +267,7 @@ impl RecordOpener {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use h2priv_util::bytes::BytesMut;
     use h2priv_util::check::{self, Gen};
     use h2priv_util::prop_assert_eq;
 
@@ -420,6 +426,99 @@ mod tests {
                 }
                 prop_assert_eq!(got.len(), expected.len());
                 prop_assert_eq!(got == expected, true);
+            },
+        );
+    }
+
+    /// Plain-`Vec` reference of the record format: the wire bytes and
+    /// spans [`RecordSealer`] must produce for `msg` at stream `offset`.
+    fn reference_seal(
+        pad_block: usize,
+        msg: &[u8],
+        offset: &mut u64,
+        tag: RecordTag,
+        spans: &mut Vec<WireSpan>,
+    ) -> Vec<u8> {
+        let max_inner = MAX_RECORD_PLAINTEXT - AEAD_TAG_LEN;
+        let room = if pad_block > 0 {
+            max_inner - PAD_PREFIX_LEN
+        } else {
+            max_inner
+        };
+        let mut wire = Vec::new();
+        let mut chunks: Vec<&[u8]> = msg.chunks(room).collect();
+        if chunks.is_empty() {
+            chunks.push(&[]);
+        }
+        for chunk in chunks {
+            let mut inner = Vec::new();
+            if pad_block > 0 {
+                inner.extend_from_slice(&(chunk.len() as u16).to_be_bytes());
+                inner.extend_from_slice(chunk);
+                let padded = inner.len().div_ceil(pad_block) * pad_block;
+                inner.resize(padded.min(max_inner), 0);
+            } else {
+                inner.extend_from_slice(chunk);
+            }
+            let body = inner.len() + AEAD_TAG_LEN;
+            wire.push(ContentType::ApplicationData.as_byte());
+            wire.extend_from_slice(&WIRE_VERSION.to_be_bytes());
+            wire.extend_from_slice(&(body as u16).to_be_bytes());
+            wire.extend_from_slice(&inner);
+            wire.extend_from_slice(&[0; AEAD_TAG_LEN]);
+            let end = *offset + (RECORD_HEADER_LEN + body) as u64;
+            spans.push(WireSpan {
+                start: *offset,
+                end,
+                tag,
+            });
+            *offset = end;
+        }
+        wire
+    }
+
+    #[test]
+    fn pooled_seal_and_open_match_plain_vec_reference() {
+        check::run(
+            "pooled_seal_and_open_match_plain_vec_reference",
+            64,
+            |g: &mut Gen| {
+                let pad_block = [0usize, 128, 4096][g.usize(0, 2)];
+                let (mut sealer, mut opener) = if pad_block > 0 {
+                    (
+                        RecordSealer::with_padding(pad_block),
+                        RecordOpener::with_padding_strip(),
+                    )
+                } else {
+                    (RecordSealer::new(), RecordOpener::new())
+                };
+                let (mut offset, mut spans) = (0u64, Vec::new());
+                for i in 0..g.usize(1, 6) {
+                    let msg: Vec<u8> = (0..g.usize(0, 40_000))
+                        .map(|j| (i * 31 + j) as u8)
+                        .collect();
+                    let tag = RecordTag {
+                        stream_id: i as u32,
+                        object_id: i as u32,
+                        copy: 0,
+                        class: crate::TrafficClass::ObjectData,
+                    };
+                    let wire = sealer.seal(ContentType::ApplicationData, &msg, tag);
+                    let expect = reference_seal(pad_block, &msg, &mut offset, tag, &mut spans);
+                    prop_assert_eq!(wire[..] == expect[..], true);
+                    opener.push(&wire);
+                    // Hand the wire buffer back so later seals and opens
+                    // reuse pooled storage that held other bytes.
+                    h2priv_util::bytes::recycle(wire);
+                    let mut plain = Vec::new();
+                    while let Some(rec) = opener.poll_record() {
+                        plain.extend_from_slice(&rec.plaintext);
+                        h2priv_util::bytes::recycle(rec.plaintext);
+                    }
+                    prop_assert_eq!(plain == msg, true);
+                }
+                prop_assert_eq!(sealer.wire_map().spans() == &spans[..], true);
+                prop_assert_eq!(sealer.wire_offset(), offset);
             },
         );
     }

@@ -78,11 +78,10 @@ impl Party {
             .position(|p| *p == self)
             .expect("party in ALL")
     }
-}
 
-impl fmt::Display for Party {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+    /// The party's label (its `Display` form), without formatting.
+    pub fn label(self) -> &'static str {
+        match self {
             Party::Democratic => "democratic",
             Party::Republican => "republican",
             Party::Libertarian => "libertarian",
@@ -91,8 +90,18 @@ impl fmt::Display for Party {
             Party::AmericanSolidarity => "american-solidarity",
             Party::Reform => "reform",
             Party::Socialist => "socialist",
-        };
-        write!(f, "{s}")
+        }
+    }
+
+    /// The party whose [`label`](Party::label) is `label`, if any.
+    pub fn from_label(label: &str) -> Option<Party> {
+        Party::ALL.into_iter().find(|p| p.label() == label)
+    }
+}
+
+impl fmt::Display for Party {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
     }
 }
 
